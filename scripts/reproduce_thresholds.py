@@ -10,8 +10,14 @@ import argparse
 import time
 
 from esdlab.channels import default_model
-from esdlab.cli import TABLE1_OPS, _table1_cell
-from esdlab.dynamics import StageSchedule, critical_x, death_point, regime_boundaries
+from esdlab.dynamics import (
+    TABLE1_OPS,
+    StageSchedule,
+    critical_x,
+    death_point,
+    regime_boundaries,
+    table1_cell,
+)
 from esdlab.luo import LocalUnitary
 from esdlab.states import FamilyId, StateFamily
 
@@ -68,8 +74,8 @@ def main() -> None:
     if not args.skip_table:
         print("== classification table (flip pair: state1 / state2) ==")
         for op_a, op_b in TABLE1_OPS:
-            c1 = _table1_cell(("state1", 0.25, op_a, op_b))
-            c2 = _table1_cell(("state2", 0.5, op_a, op_b))
+            c1 = table1_cell(("state1", 0.25, op_a, op_b))
+            c2 = table1_cell(("state2", 0.5, op_a, op_b))
             print(f"  {op_a}*{op_b:<5s}  {c1:15s} / {c2}")
 
     print(f"done in {time.time() - t0:.1f}s")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qla
 from .errors import DomainError, ShapeMismatch
 from .qla import DensityMatrix
 
@@ -65,18 +64,23 @@ def default_model(dims: tuple[int, int]) -> DecayModel:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """An ordered collection of Kraus operators for one channel strength."""
+    """A local channel as one Kraus stack per subsystem: ``ops_a`` has
+    shape (k_A, d_A, d_A), ``ops_b`` has shape (k_B, d_B, d_B).  The
+    composite operators are all products A_i (x) B_j; they are never built."""
 
-    operators: tuple
-    dims: tuple[int, int] | None = None
+    ops_a: np.ndarray
+    ops_b: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.ops_a.shape[1], self.ops_b.shape[1]
 
     def completeness_residual(self) -> float:
-        """max-norm of (sum_k K^dagger K) - identity."""
-        d = self.operators[0].shape[1]
-        acc = np.zeros((d, d), dtype=complex)
-        for k in self.operators:
-            acc += k.conj().T @ k
-        return float(np.abs(acc - np.eye(d)).max())
+        """max-norm of (sum_k K^dagger K) - identity, worst subsystem."""
+        return max(
+            float(np.abs(np.einsum("kji,kjl->il", ops.conj(), ops) - np.eye(ops.shape[1])).max())
+            for ops in (self.ops_a, self.ops_b)
+        )
 
 
 def _check_probability(name: str, p: float) -> None:
@@ -84,32 +88,25 @@ def _check_probability(name: str, p: float) -> None:
         raise DomainError(f"{name} must lie in [0, 1], got {p}")
 
 
-def qubit_kraus(p: float) -> KrausSet:
-    """Two operators: amplitude decay |1> -> |0> with probability p."""
+def qubit_kraus(p: float) -> np.ndarray:
+    """Stack of two operators: amplitude decay |1> -> |0> with probability p."""
     _check_probability("p", p)
-    m0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=complex)
-    m1 = np.zeros((2, 2), dtype=complex)
-    m1[0, 1] = math.sqrt(p)
-    return KrausSet(operators=(m0, m1))
+    ops = np.zeros((2, 2, 2), dtype=complex)
+    ops[0] = np.diag([1.0, math.sqrt(1.0 - p)])
+    ops[1, 0, 1] = math.sqrt(p)
+    return ops
 
 
-def qutrit_kraus(p1: float, p2: float) -> KrausSet:
-    """Three operators for the V-type qutrit: |1> -> |0> with p1,
+def qutrit_kraus(p1: float, p2: float) -> np.ndarray:
+    """Stack of three operators for the V-type qutrit: |1> -> |0> with p1,
     |2> -> |0> with p2, no |1> <-> |2> transitions."""
     _check_probability("p1", p1)
     _check_probability("p2", p2)
-    m0 = np.diag([1.0, math.sqrt(1.0 - p1), math.sqrt(1.0 - p2)]).astype(complex)
-    m1 = np.zeros((3, 3), dtype=complex)
-    m1[0, 1] = math.sqrt(p1)
-    m2 = np.zeros((3, 3), dtype=complex)
-    m2[0, 2] = math.sqrt(p2)
-    return KrausSet(operators=(m0, m1, m2))
-
-
-def combine(ka: KrausSet, kb: KrausSet, dims: tuple[int, int]) -> KrausSet:
-    """Tensor all operator pairs of two single-subsystem Kraus sets."""
-    ops = tuple(qla.kron(a, b) for a in ka.operators for b in kb.operators)
-    return KrausSet(operators=ops, dims=dims)
+    ops = np.zeros((3, 3, 3), dtype=complex)
+    ops[0] = np.diag([1.0, math.sqrt(1.0 - p1), math.sqrt(1.0 - p2)])
+    ops[1, 0, 1] = math.sqrt(p1)
+    ops[2, 0, 2] = math.sqrt(p2)
+    return ops
 
 
 def composite_kraus(dims: tuple[int, int], p: float, model: DecayModel) -> KrausSet:
@@ -122,10 +119,10 @@ def composite_kraus(dims: tuple[int, int], p: float, model: DecayModel) -> Kraus
     _check_probability("p", p)
     p1, p2 = model.branch_probabilities(p)
     if dims == (2, 3):
-        return combine(qubit_kraus(p), qutrit_kraus(p1, p2), dims)
+        return KrausSet(qubit_kraus(p), qutrit_kraus(p1, p2))
     if dims == (3, 3):
         kq = qutrit_kraus(p1, p2)
-        return combine(kq, kq, dims)
+        return KrausSet(kq, kq)
     raise DomainError(f"unsupported dims {dims}")
 
 
@@ -141,27 +138,21 @@ def composite_kraus_from_branches(
     composition: two stages equal one stage with damping
     1 - (1-p)(1-p') on every decay branch.
     """
-    if dims == (2, 3):
-        ka = qubit_kraus(*branches_a)
-    elif dims == (3, 3):
-        ka = qutrit_kraus(*branches_a)
-    else:
+    side_a = {(2, 3): qubit_kraus, (3, 3): qutrit_kraus}.get(dims)
+    if side_a is None:
         raise DomainError(f"unsupported dims {dims}")
-    return combine(ka, qutrit_kraus(*branches_b), dims)
+    return KrausSet(side_a(*branches_a), qutrit_kraus(*branches_b))
 
 
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    """Evolve rho through the channel: sum_k K rho K^dagger."""
-    d = rho.dim
-    if ks.operators[0].shape != (d, d):
-        raise ShapeMismatch(
-            f"Kraus operators are {ks.operators[0].shape}, state is {d}x{d}"
-        )
-    if ks.dims is not None and ks.dims != (rho.dim_a, rho.dim_b):
+    """Evolve rho through the local channel, sum_ij (A_i x B_j) rho (A_i x B_j)^dagger,
+    contracting one subsystem at a time on the (d_A, d_B, d_A, d_B) tensor."""
+    if ks.dims != (rho.dim_a, rho.dim_b):
         raise ShapeMismatch(
             f"Kraus set is for dims {ks.dims}, state has ({rho.dim_a}, {rho.dim_b})"
         )
-    out = np.zeros((d, d), dtype=complex)
-    for k in ks.operators:
-        out += k @ rho.matrix @ k.conj().T
-    return DensityMatrix(rho.dim_a, rho.dim_b, out)
+    a, b = ks.ops_a, ks.ops_b
+    r = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    r = np.einsum("iae,efgh,icg->afch", a, r, a.conj())
+    r = np.einsum("jbf,afch,jdh->abcd", b, r, b.conj())
+    return DensityMatrix(rho.dim_a, rho.dim_b, r.reshape(rho.dim, rho.dim))

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: evolve | boundary | scan | table1 | surface.  Exit codes:
-0 success, 2 configuration error, 3 numeric failure (eigensolver
-non-convergence).  Environment variables are never consulted; identical
-configurations produce byte-identical output regardless of worker count.
+0 success, 2 configuration error, 3 numeric failure (LAPACK raised
+numpy.linalg.LinAlgError).  Environment variables are never consulted;
+identical configurations produce byte-identical output regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -17,33 +18,24 @@ import numpy as np
 
 from . import io
 from .channels import DecayModel, default_model
-from .config import DEFAULT, Tolerances
+from .config import Tolerances
 from .dynamics import (
+    TABLE1_OPS,
     StageSchedule,
     classify,
+    damp,
     death_point_record,
-    evolve_two_stage,
     regime_boundaries,
+    state_after_flip,
     sweep_surface,
+    table1_cell,
 )
-from .errors import DomainError, EigensolverError
+from .errors import DomainError
 from .luo import LocalUnitary, valid_ops
 from .measures import negativity, realigned_negativity
 from .states import FamilyId, StateFamily
 
 DEFAULT_X = {FamilyId.STATE1: 0.25, FamilyId.STATE2: 0.5, FamilyId.TWO_QUTRIT: 0.25}
-
-TABLE1_OPS = [
-    ("X", "F01"),
-    ("X", "F02"),
-    ("X", "F102"),
-    ("X", "F201"),
-    ("X", "I"),
-    ("I", "F01"),
-    ("I", "F02"),
-    ("I", "F102"),
-    ("I", "F201"),
-]
 
 
 @dataclass(frozen=True)
@@ -154,12 +146,11 @@ def _parallel_map(fn, jobs, workers: int):
 
 
 def _evolve_row(job):
-    run, pp = job
-    sched = StageSchedule(run.family, run.model, run.op, run.config.pn)
-    rho = evolve_two_stage(sched, pp)
+    run, flipped, pp = job
+    rho = damp(flipped, run.model, pp)
     row = {"p_prime": io.round9(pp), "negativity": io.round9(negativity(rho, run.tolerances))}
     if run.is_two_qutrit:
-        row["realigned_negativity"] = io.round9(realigned_negativity(rho, run.tolerances))
+        row["realigned_negativity"] = io.round9(realigned_negativity(rho))
     if run.config.debug_matrices:
         row["matrix"] = io.matrix_to_pairs(rho.matrix)
     return row
@@ -169,7 +160,8 @@ def cmd_evolve(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     tol = run.tolerances
     pps = [float(p) for p in np.arange(0.0, tol.death_cap, run.config.pprime_step)]
     pps.append(tol.death_cap)
-    rows = _parallel_map(_evolve_row, [(run, pp) for pp in pps], run.config.workers)
+    flipped = state_after_flip(StageSchedule(run.family, run.model, run.op, run.config.pn))
+    rows = _parallel_map(_evolve_row, [(run, flipped, pp) for pp in pps], run.config.workers)
     header = ["p_prime", "negativity"] + (
         ["realigned_negativity"] if run.is_two_qutrit else []
     )
@@ -226,26 +218,6 @@ def cmd_scan(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     return ["p_n", "verdict", "baseline_death", "manipulated_death"], rows, {"summary": summary}
 
 
-def _table1_cell(job):
-    family_value, x, op_a, op_b = job
-    family = StateFamily(FamilyId(family_value), x)
-    model = default_model(family.dims)
-    op = LocalUnitary(op_a, op_b)
-    bounds = regime_boundaries(family, model, op, DEFAULT)
-    has_avoid = bounds.avoid_end > DEFAULT.bisection
-    has_delay = bounds.delay_end > bounds.avoid_end + DEFAULT.bisection
-    parts = []
-    if has_avoid:
-        parts.append("A")
-    if has_delay:
-        parts.append("D")
-    if bounds.has_hasten:
-        parts.append("H")
-    if parts == ["A", "D", "H"]:
-        return "A, D, and H"
-    return "only " + " and ".join(parts)
-
-
 def cmd_table1(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     families = [("state1", 0.25), ("state2", 0.5)]
     jobs = [
@@ -253,7 +225,7 @@ def cmd_table1(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
         for op_a, op_b in TABLE1_OPS
         for fam, x in families
     ]
-    cells = _parallel_map(_table1_cell, jobs, run.config.workers)
+    cells = _parallel_map(table1_cell, jobs, run.config.workers)
     rows = []
     for i, (op_a, op_b) in enumerate(TABLE1_OPS):
         rows.append(
@@ -362,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except EigensolverError as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     if config.out:

@@ -12,12 +12,6 @@ class Tolerances:
     # matrix validation
     hermiticity: float = 1e-12
     trace: float = 1e-12
-    psd_floor: float = -1e-10
-
-    # eigensolver
-    jacobi_offdiag: float = 1e-14
-    jacobi_max_sweeps: int = 100
-    singular_clamp: float = -1e-14
 
     # entanglement detection and root finding
     negativity_zero: float = 1e-12

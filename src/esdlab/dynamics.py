@@ -7,7 +7,8 @@ evolution, which serves as the comparison baseline (the "red curve"):
 both curves are parameterized by the shared abscissa p_n.
 
 Death points are located by bracketing negativity's zero crossing on a
-coarse p' grid and bisecting; regime boundaries bisect over p_n.
+coarse p' grid and bisecting; regime boundaries bisect over p_n.  A p'
+sweep builds ``state_after_flip`` once and ``damp``s it per sample.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import DecayModel, apply_channel, composite_kraus
+from .channels import DecayModel, apply_channel, composite_kraus, default_model
 from .config import DEFAULT, Tolerances
 from .errors import DomainError, NonMonotoneWarning
 from .luo import IDENTITY_OP, LocalUnitary, apply_luo
@@ -42,28 +43,24 @@ class StageSchedule:
         if not 0.0 <= self.p_n < 1.0:
             raise DomainError(f"p_n must lie in [0, 1), got {self.p_n}")
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.family.dims
-
     def baseline(self) -> "StageSchedule":
         return replace(self, op=IDENTITY_OP)
 
 
-@functools.lru_cache(maxsize=4096)
+def damp(rho: DensityMatrix, model: DecayModel, p: float) -> DensityMatrix:
+    """One damping stage of reference strength p on both subsystems."""
+    return apply_channel(rho, composite_kraus((rho.dim_a, rho.dim_b), p, model))
+
+
 def state_after_flip(s: StageSchedule) -> DensityMatrix:
     """The state at the flip instant: rho(0) damped to p_n, then flipped."""
-    rho = build_state(s.family)
-    rho = apply_channel(rho, composite_kraus(s.dims, s.p_n, s.model))
-    if not s.op.is_identity:
-        rho = apply_luo(rho, s.op)
-    return rho
+    rho = damp(build_state(s.family), s.model, s.p_n)
+    return rho if s.op.is_identity else apply_luo(rho, s.op)
 
 
 def evolve_two_stage(s: StageSchedule, p_prime: float) -> DensityMatrix:
     """State after the full pipeline at second-stage strength p_prime."""
-    rho = state_after_flip(s)
-    return apply_channel(rho, composite_kraus(s.dims, p_prime, s.model))
+    return damp(state_after_flip(s), s.model, p_prime)
 
 
 class Outcome(str, enum.Enum):
@@ -96,10 +93,6 @@ class DeathRecord:
     bracket: tuple[float, float] | None
 
 
-def _negativity_at(s: StageSchedule, p_prime: float, tol: Tolerances) -> float:
-    return negativity(evolve_two_stage(s, p_prime), tol=tol)
-
-
 def death_point_record(s: StageSchedule, tol: Tolerances = DEFAULT) -> DeathRecord:
     """Locate the smallest p' where negativity vanishes, with solver detail.
 
@@ -112,7 +105,8 @@ def death_point_record(s: StageSchedule, tol: Tolerances = DEFAULT) -> DeathReco
     channel and is reported as NonMonotoneWarning, not silently ignored.
     """
     zero = tol.negativity_zero
-    f = lambda pp: _negativity_at(s, pp, tol)
+    flipped = state_after_flip(s)
+    f = lambda pp: negativity(damp(flipped, s.model, pp), tol=tol)
     if f(0.0) <= zero:
         return DeathRecord(p_prime=0.0, iterations=0, bracket=(0.0, 0.0))
 
@@ -256,6 +250,42 @@ def regime_boundaries(
     return RegimeBoundaries(avoid_end, 0.5 * (lo + hi), d0, has_hasten=True)
 
 
+# the nine flip pairs of the classification table, in table order
+TABLE1_OPS = [
+    ("X", "F01"),
+    ("X", "F02"),
+    ("X", "F102"),
+    ("X", "F201"),
+    ("X", "I"),
+    ("I", "F01"),
+    ("I", "F02"),
+    ("I", "F102"),
+    ("I", "F201"),
+]
+
+
+def table1_cell(job: tuple[str, float, str, str]) -> str:
+    """Classification pattern of one table cell, e.g. "A, D, and H" or
+    "only H", for the job (family value, x, op_a, op_b) under the
+    family's default decay model and default tolerances."""
+    family_value, x, op_a, op_b = job
+    family = StateFamily(FamilyId(family_value), x)
+    op = LocalUnitary(op_a, op_b)
+    bounds = regime_boundaries(family, default_model(family.dims), op, DEFAULT)
+    has_avoid = bounds.avoid_end > DEFAULT.bisection
+    has_delay = bounds.delay_end > bounds.avoid_end + DEFAULT.bisection
+    parts = []
+    if has_avoid:
+        parts.append("A")
+    if has_delay:
+        parts.append("D")
+    if bounds.has_hasten:
+        parts.append("H")
+    if parts == ["A", "D", "H"]:
+        return "A, D, and H"
+    return "only " + " and ".join(parts)
+
+
 def critical_x(
     family_id: FamilyId,
     model: DecayModel,
@@ -316,6 +346,7 @@ def sweep_surface(
 def _surface_column(job):
     family, model, op, pn, pps, tol = job
     s = StageSchedule(family, model, op, pn)
-    values = [_negativity_at(s, pp, tol) for pp in pps]
+    flipped = state_after_flip(s)
+    values = [negativity(damp(flipped, model, pp), tol=tol) for pp in pps]
     death = death_point(s, tol)
     return pn, values, death

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+LAPACK failures are not wrapped: they surface as numpy.linalg.LinAlgError.
+"""
 
 
 class DomainError(ValueError):
@@ -15,10 +18,6 @@ class NonHermitianInput(ValueError):
 
 class UnknownOperation(ValueError):
     """An operation name is not in the flip catalog for the given dimension."""
-
-
-class EigensolverError(RuntimeError):
-    """The Jacobi eigensolver failed to converge."""
 
 
 class NonMonotoneWarning(UserWarning):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qla
-from .errors import ShapeMismatch, UnknownOperation
+from .channels import KrausSet, apply_channel
+from .errors import UnknownOperation
 from .qla import DensityMatrix
 
 _FLIPS_2 = {
@@ -58,9 +58,6 @@ class LocalUnitary:
     op_a: str = "I"
     op_b: str = "I"
 
-    def matrix(self, dims: tuple[int, int]) -> np.ndarray:
-        return qla.kron(flip_matrix(self.op_a, dims[0]), flip_matrix(self.op_b, dims[1]))
-
     @property
     def is_identity(self) -> bool:
         return self.op_a == "I" and self.op_b == "I"
@@ -70,15 +67,15 @@ IDENTITY_OP = LocalUnitary("I", "I")
 
 
 def apply_luo(rho: DensityMatrix, op: LocalUnitary) -> DensityMatrix:
-    """Conjugate by the local unitary: (U_A x U_B) rho (U_A x U_B)^dagger.
+    """Conjugate by the local unitary: (U_A x U_B) rho (U_A x U_B)^dagger,
+    through the channel kernel with one-operator stacks.
 
     Leaves the spectrum, and hence the entanglement, unchanged at the
     instant of application; only the subsequent damping differs.
     """
     try:
-        u = op.matrix((rho.dim_a, rho.dim_b))
+        ua = flip_matrix(op.op_a, rho.dim_a)
+        ub = flip_matrix(op.op_b, rho.dim_b)
     except UnknownOperation as exc:
         raise UnknownOperation(f"{exc} (state dims ({rho.dim_a}, {rho.dim_b}))") from None
-    if u.shape != (rho.dim, rho.dim):
-        raise ShapeMismatch(f"operator is {u.shape}, state is {rho.dim}x{rho.dim}")
-    return DensityMatrix(rho.dim_a, rho.dim_b, u @ rho.matrix @ u.conj().T)
+    return apply_channel(rho, KrausSet(ua[None], ub[None]))

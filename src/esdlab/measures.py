@@ -37,16 +37,16 @@ def negativity(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float:
     return float(-w[w < 0.0].sum()) + 0.0  # avoid -0.0
 
 
-def realigned_negativity(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float:
+def realigned_negativity(rho: DensityMatrix) -> float:
     """max(0, ||realign(rho)||_tr - 1); positive values certify
     entanglement, including some PPT (bound-entangled) states."""
-    return max(0.0, qla.trace_norm(qla.realign(rho), tol=tol) - 1.0)
+    return max(0.0, qla.trace_norm(qla.realign(rho)) - 1.0)
 
 
 def assess(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> EntanglementReading:
     neg = negativity(rho, tol=tol)
     if (rho.dim_a, rho.dim_b) == (3, 3):
-        realigned = realigned_negativity(rho, tol=tol)
+        realigned = realigned_negativity(rho)
         if neg > tol.negativity_zero or realigned > tol.negativity_zero:
             verdict = Verdict.ENTANGLED
         else:

@@ -6,29 +6,18 @@ Composite basis ordering is lexicographic |i>_A (x) |j>_B, i.e. the flat
 index of |ij> is ``dim_b * i + j``.  All operations return new arrays;
 nothing mutates its input.
 
-The eigensolver is a cyclic Jacobi iteration on the Hermitian input.  At
-these sizes (<= 9) Jacobi is simple, accurate to near machine precision,
-and needs no external solver.
+Eigenvalues and singular values come from LAPACK through ``numpy.linalg``;
+a LAPACK failure propagates as ``numpy.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import EigensolverError, NonHermitianInput, ShapeMismatch
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result equals a[i, j] * b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+from .errors import NonHermitianInput, ShapeMismatch
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -36,25 +25,15 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def hermitian_eigenvalues(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, sorted ascending, from LAPACK.
 
-
-def jacobi_eigh(
-    m: np.ndarray,
-    want_vectors: bool = False,
-    tol: Tolerances = DEFAULT,
-):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns eigenvalues sorted ascending, and, if requested, a unitary V
-    with ``m == V diag(w) V^dagger`` up to the convergence threshold.
-
-    Raises NonHermitianInput if the input violates the Hermiticity
-    tolerance, EigensolverError if the off-diagonal Frobenius norm does
-    not fall below ``tol.jacobi_offdiag`` within ``tol.jacobi_max_sweeps``
-    sweeps.
+    Indices are first reordered so that each decoupled block (connected
+    component of the nonzero pattern) is contiguous; LAPACK then solves
+    each block at the scale of its own norm, not the whole matrix's.  The
+    damped states' partial transposes split into 1x1 and 2x2 blocks that
+    differ by many orders of magnitude, and their small eigenvalues would
+    otherwise lose printed digits of negativity.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -64,92 +43,24 @@ def jacobi_eigh(
             f"Hermiticity defect {hermiticity_defect(m):.3e} exceeds "
             f"{tol.hermiticity:.0e}"
         )
-
     n = m.shape[0]
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=complex) if want_vectors else None
-    # elements below this cannot push the off-norm above threshold
-    skip = tol.jacobi_offdiag / (10.0 * n * n)
-
-    converged = False
-    for _ in range(tol.jacobi_max_sweeps):
-        if _offdiag_norm(a) <= tol.jacobi_offdiag:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = complex(a[p, q])
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
-                c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-                # unitary J: J[p,p]=c, J[p,q]=s*phase, J[q,p]=-s*conj(phase), J[q,q]=c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vcol_p = v[:, p].copy()
-                    vcol_q = v[:, q].copy()
-                    v[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-                    v[:, q] = s * phase * vcol_p + c * vcol_q
-    else:
-        converged = _offdiag_norm(a) <= tol.jacobi_offdiag
-    if not converged:
-        raise EigensolverError(
-            f"Jacobi sweep limit {tol.jacobi_max_sweeps} reached with "
-            f"off-diagonal norm {_offdiag_norm(a):.3e}"
-        )
-
-    w = np.real(np.diag(a)).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if v is not None:
-        return w, v[:, order]
-    return w
+    linked = (m != 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # each squaring doubles the path length
+        linked = linked @ linked
+    # label each index by the first index of its block; sorting groups blocks
+    order = np.argsort(linked.argmax(axis=1), kind="stable")
+    return np.linalg.eigvalsh(m[np.ix_(order, order)])
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted ascending."""
-    return jacobi_eigh(m, want_vectors=False, tol=tol)
-
-
-def trace_norm(m: np.ndarray, tol: Tolerances = DEFAULT) -> float:
-    """Sum of singular values, via eigenvalues of the Gram matrix.
+def trace_norm(m: np.ndarray) -> float:
+    """Sum of singular values.
 
     Rectangular inputs are allowed (realigned matrices are d_A^2 x d_B^2).
-    Gram eigenvalues within the clamp of zero are rounded to zero before
-    the square root (two-sided: +1e-16-level noise would otherwise leak
-    1e-8 into the sum); anything below ``tol.singular_clamp`` signals a
-    numeric fault.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ m.conj().T
-    else:
-        gram = m.conj().T @ m
-    w = jacobi_eigh(gram, tol=tol)
-    if w.size and w[0] < tol.singular_clamp:
-        raise EigensolverError(
-            f"Gram matrix eigenvalue {w[0]:.3e} below clamp {tol.singular_clamp:.0e}"
-        )
-    w = np.where(w > -tol.singular_clamp, w, 0.0)
-    return float(np.sum(np.sqrt(w)))
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,27 +27,27 @@ M23 = default_model((2, 3))
 
 def test_qubit_kraus_limits():
     k0 = qubit_kraus(0.0)
-    assert np.array_equal(k0.operators[0], np.eye(2))
-    assert np.count_nonzero(k0.operators[1]) == 0
+    assert np.array_equal(k0[0], np.eye(2))
+    assert np.count_nonzero(k0[1]) == 0
     k1 = qubit_kraus(1.0)
-    assert np.array_equal(k1.operators[0], np.diag([1.0, 0.0]))
-    assert k1.operators[1][0, 1] == 1.0
+    assert np.array_equal(k1[0], np.diag([1.0, 0.0]))
+    assert k1[1][0, 1] == 1.0
 
 
 def test_qubit_kraus_at_p036():
     ks = qubit_kraus(0.36)
-    assert np.allclose(np.diag(ks.operators[0]), [1.0, 0.8])
-    assert abs(ks.operators[1][0, 1] - 0.6) < 1e-15
+    assert np.allclose(np.diag(ks[0]), [1.0, 0.8])
+    assert abs(ks[1][0, 1] - 0.6) < 1e-15
 
 
 def test_qutrit_kraus_limits_and_values():
     k0 = qutrit_kraus(0.0, 0.0)
-    assert np.array_equal(k0.operators[0], np.eye(3))
-    assert all(np.count_nonzero(k) == 0 for k in k0.operators[1:])
+    assert np.array_equal(k0[0], np.eye(3))
+    assert all(np.count_nonzero(k) == 0 for k in k0[1:])
     k1 = qutrit_kraus(1.0, 1.0)
-    assert np.array_equal(k1.operators[0], np.diag([1.0, 0.0, 0.0]))
+    assert np.array_equal(k1[0], np.diag([1.0, 0.0, 0.0]))
     ks = qutrit_kraus(0.8 * 0.5, 0.6 * 0.5)
-    assert np.allclose(np.diag(ks.operators[0]), [1.0, math.sqrt(0.6), math.sqrt(0.7)])
+    assert np.allclose(np.diag(ks[0]), [1.0, math.sqrt(0.6), math.sqrt(0.7)])
 
 
 def test_probability_range_checks():
@@ -67,12 +67,14 @@ def test_probability_range_checks():
 
 def test_composite_kraus_structure():
     ks = composite_kraus((2, 3), 0.0, M23)
-    assert len(ks.operators) == 6
-    assert np.array_equal(ks.operators[0], np.eye(6))
-    assert all(np.count_nonzero(k) == 0 for k in ks.operators[1:])
+    assert ks.dims == (2, 3)
+    assert ks.ops_a.shape == (2, 2, 2) and ks.ops_b.shape == (3, 3, 3)
+    assert np.array_equal(ks.ops_a[0], np.eye(2)) and np.array_equal(ks.ops_b[0], np.eye(3))
+    assert np.count_nonzero(ks.ops_a[1:]) == 0 and np.count_nonzero(ks.ops_b[1:]) == 0
     assert composite_kraus((2, 3), 0.5, M23).completeness_residual() <= 1e-12
     k33 = composite_kraus((3, 3), 0.5, default_model((3, 3)))
-    assert len(k33.operators) == 9
+    assert k33.dims == (3, 3)
+    assert k33.ops_a.shape == k33.ops_b.shape == (3, 3, 3)
     assert k33.completeness_residual() <= 1e-12
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from esdlab import io
 from esdlab.cli import RunConfig, main
@@ -133,6 +134,57 @@ def test_debug_matrices_flag_embeds_states(capsys):
     matrix = doc["rows"][0]["matrix"]
     assert len(matrix) == 6 and len(matrix[0]) == 6 and len(matrix[0][0]) == 2
     assert matrix[0][0][0] == 0.125  # ground population of the initial state
+
+
+def test_lapack_failure_exits_with_code_3(capsys, monkeypatch):
+    def fail(m, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, out, err = run_cli(capsys, "boundary", "--family", "state1")
+    assert code == 3 and out == ""
+    assert "numeric failure" in err
+
+
+# exact output of the 3x3 (surface) and 2x3 (evolve) pipelines: damping,
+# both flips, negativity and the death locus, down to the printed digit
+PINNED_CSV = {
+    ("surface", "--family", "twoqutrit", "--op-a", "F01", "--op-b", "F02", "--grid", "4"): """\
+p_n,p_prime,negativity
+0,0,0.0833333333
+0,0.333333,0.0313356178
+0,0.666666,0.00753231182
+0,0.999999,4.16642085e-08
+0.333333,0,0.0104167222
+0.333333,0.333333,0
+0.333333,0.666666,0
+0.333333,0.999999,0
+0.666666,0,0
+0.666666,0.333333,0
+0.666666,0.666666,0
+0.666666,0.999999,0
+0.999999,0,0
+0.999999,0.333333,0
+0.999999,0.666666,0
+0.999999,0.999999,0
+""",
+    ("evolve", "--family", "state2", "--op-a", "X", "--pn", "0.3", "--pprime-step", "0.2"): """\
+p_prime,negativity
+0,0.122001979
+0.2,0.0584779077
+0.4,0.0194952988
+0.6,0.00332402438
+0.8,0
+0.999999,0
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_CSV), ids=["surface-twoqutrit", "evolve-state2"])
+def test_pinned_csv_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == PINNED_CSV[argv]
 
 
 def test_run_config_round_trip():
