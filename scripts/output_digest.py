@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Print a digest of the CLI's output on a fixed command set.
+
+One line per command: the exit code, the SHA-256 of its stdout followed by
+its stderr, and the argv.  Run it on two versions of the code and diff the
+outputs; identical digests mean byte-identical output.  The set covers
+every command: table1, scans on both 2x3 families, surfaces on 2x3 and
+3x3 with one and two workers, evolve in CSV and JSON on all three
+families, 60 seeded boundary queries and two configuration errors.
+
+    PYTHONPATH=src python scripts/output_digest.py
+"""
+
+import hashlib
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+from esdlab.cli import main
+
+QUBIT_OPS = ("I", "X")
+QUTRIT_OPS = ("I", "F01", "F02", "F102", "F201")
+
+
+def commands() -> list[list[str]]:
+    cmds = [
+        ["table1"],
+        ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F01"],
+        ["scan", "--family", "state2", "--op-a", "I", "--op-b", "F02"],
+    ]
+    for family, op_a, op_b in (("state1", "X", "F01"), ("twoqutrit", "F01", "F02")):
+        for workers in ("1", "2"):
+            cmds.append(["surface", "--family", family, "--op-a", op_a, "--op-b", op_b,
+                         "--grid", "11", "--workers", workers])
+    for family, op_a, op_b in (("state1", "X", "F02"), ("state2", "X", "F201"),
+                               ("twoqutrit", "F102", "F01")):
+        for fmt in ("csv", "json"):
+            cmds.append(["evolve", "--family", family, "--op-a", op_a, "--op-b", op_b,
+                         "--pn", "0.15", "--format", fmt])
+    rng = random.Random(20201)
+    for i in range(60):
+        family = "state1" if i % 2 else "state2"
+        x = rng.uniform(0.0, 0.333) if family == "state1" else rng.uniform(0.334, 0.5)
+        cmds.append(["boundary", "--family", family, "--x", f"{x:.6f}",
+                     "--op-a", rng.choice(QUBIT_OPS), "--op-b", rng.choice(QUTRIT_OPS),
+                     "--pn", f"{rng.uniform(0.0, 0.5):.6f}"])
+    cmds.append(["boundary", "--family", "state1", "--x", "0.4"])
+    cmds.append(["evolve", "--family", "twoqutrit", "--op-a", "X"])
+    return cmds
+
+
+def digest(argv: list[str]) -> tuple[int, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    for argv in commands():
+        code, sha = digest(argv)
+        print(code, sha, " ".join(argv))

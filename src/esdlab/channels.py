@@ -8,6 +8,10 @@ p-space; time enters only through ``DecayModel.p_of_t``/``t_of_p``.
 The per-run parameterization ties the qutrit branches to the reference
 probability linearly, p1 = ratio_a * p and p2 = ratio_b * p.  The second
 evolution stage reuses the same ratios with p replaced by p'.
+
+The Kraus builders also take an array of p and return one stack per
+element.  ``apply_channel`` applies per-subsystem superoperators to the
+realigned state, so a whole p' sweep is one pass through one kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch
-from .qla import DensityMatrix
+from .qla import DensityMatrix, realign
 
 
 @dataclass(frozen=True)
@@ -64,64 +68,75 @@ def default_model(dims: tuple[int, int]) -> DecayModel:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """A local channel as one Kraus stack per subsystem: ``ops_a`` has
-    shape (k_A, d_A, d_A), ``ops_b`` has shape (k_B, d_B, d_B).  The
-    composite operators are all products A_i (x) B_j; they are never built."""
+    """A local channel as one Kraus stack per subsystem, ``ops_a`` of shape
+    (..., k_A, d_A, d_A) and ``ops_b`` of shape (..., k_B, d_B, d_B), where
+    ... is an optional p' axis.  The products A_i (x) B_j are never built."""
 
     ops_a: np.ndarray
     ops_b: np.ndarray
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.ops_a.shape[1], self.ops_b.shape[1]
+        return self.ops_a.shape[-1], self.ops_b.shape[-1]
 
     def completeness_residual(self) -> float:
-        """max-norm of (sum_k K^dagger K) - identity, worst subsystem."""
+        """max-norm of (sum_k K^dagger K) - identity, worst subsystem and p."""
         return max(
-            float(np.abs(np.einsum("kji,kjl->il", ops.conj(), ops) - np.eye(ops.shape[1])).max())
+            np.abs(np.einsum("...kji,...kjl->...il", ops.conj(), ops) - np.eye(ops.shape[-1])).max()
             for ops in (self.ops_a, self.ops_b)
         )
 
 
-def _check_probability(name: str, p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {p}")
+def _probabilities(name: str, p) -> np.ndarray | np.float64:
+    """``p`` as an array, or a numpy scalar when it is one number, with
+    every element checked to lie in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    bad = [v for v in p.ravel().tolist() if not 0.0 <= v <= 1.0]
+    if bad:
+        raise DomainError(f"{name} must lie in [0, 1], got {bad[0]}")
+    return p[()]
 
 
-def qubit_kraus(p: float) -> np.ndarray:
-    """Stack of two operators: amplitude decay |1> -> |0> with probability p."""
-    _check_probability("p", p)
-    ops = np.zeros((2, 2, 2), dtype=complex)
-    ops[0] = np.diag([1.0, math.sqrt(1.0 - p)])
-    ops[1, 0, 1] = math.sqrt(p)
-    return ops
+def _damping_ops(*branches) -> np.ndarray:
+    """Kraus stack of a damping with one probability per excited level i,
+    each decaying only to ground: K_0 = diag(1, sqrt(1-p_1), ...) and
+    K_i = sqrt(p_i) |0><i|.  Probabilities must already be checked."""
+    d = len(branches) + 1
+    squares = np.zeros(np.shape(branches[0]) + (d, d, d))  # entries are square roots
+    squares[..., 0, 0, 0] = 1.0
+    for i, p in enumerate(branches, 1):
+        squares[..., 0, i, i] = 1.0 - p
+        squares[..., i, 0, i] = p
+    return np.sqrt(squares).astype(complex)
 
 
-def qutrit_kraus(p1: float, p2: float) -> np.ndarray:
+def qubit_kraus(p) -> np.ndarray:
+    """Stack of two operators: amplitude decay |1> -> |0> with probability p.
+    An array of p gives one stack per element, shape p.shape + (2, 2, 2)."""
+    return _damping_ops(_probabilities("p", p))
+
+
+def qutrit_kraus(p1, p2) -> np.ndarray:
     """Stack of three operators for the V-type qutrit: |1> -> |0> with p1,
-    |2> -> |0> with p2, no |1> <-> |2> transitions."""
-    _check_probability("p1", p1)
-    _check_probability("p2", p2)
-    ops = np.zeros((3, 3, 3), dtype=complex)
-    ops[0] = np.diag([1.0, math.sqrt(1.0 - p1), math.sqrt(1.0 - p2)])
-    ops[1, 0, 1] = math.sqrt(p1)
-    ops[2, 0, 2] = math.sqrt(p2)
-    return ops
+    |2> -> |0> with p2, no |1> <-> |2> transitions.  Arrays of p1 and p2
+    of one shape give one stack per element, shape p1.shape + (3, 3, 3)."""
+    return _damping_ops(_probabilities("p1", p1), _probabilities("p2", p2))
 
 
-def composite_kraus(dims: tuple[int, int], p: float, model: DecayModel) -> KrausSet:
-    """Kraus set of the two-subsystem channel at reference probability p.
+def composite_kraus(dims: tuple[int, int], p, model: DecayModel) -> KrausSet:
+    """Kraus set of the two-subsystem channel at reference probability p,
+    or one set per element of an array of p (a p' sweep).
 
     (2, 3): qubit damped by p, qutrit branches by (ratio_a*p, ratio_b*p).
     (3, 3): two identical, independent qutrits, each with branches
     (ratio_a*p, ratio_b*p).
     """
-    _check_probability("p", p)
-    p1, p2 = model.branch_probabilities(p)
+    p = _probabilities("p", p)
+    branches = model.branch_probabilities(p)  # within [0, p]: ratios lie in [0, 1]
     if dims == (2, 3):
-        return KrausSet(qubit_kraus(p), qutrit_kraus(p1, p2))
+        return KrausSet(_damping_ops(p), _damping_ops(*branches))
     if dims == (3, 3):
-        kq = qutrit_kraus(p1, p2)
+        kq = _damping_ops(*branches)
         return KrausSet(kq, kq)
     raise DomainError(f"unsupported dims {dims}")
 
@@ -144,15 +159,27 @@ def composite_kraus_from_branches(
     return KrausSet(side_a(*branches_a), qutrit_kraus(*branches_b))
 
 
+def superoperator(ops: np.ndarray) -> np.ndarray:
+    """sum_k K_k (x) conj(K_k) of a Kraus stack (..., k, d, d), shape
+    (..., d^2, d^2): the channel as a matrix on row-major vectorised
+    operators, vec(K X K^dagger) = (K (x) conj(K)) vec(X)."""
+    d = ops.shape[-1]
+    m = np.einsum("...kae,...kcg->...aceg", ops, ops.conj())
+    return m.reshape(ops.shape[:-3] + (d * d, d * d))
+
+
 def apply_channel(rho: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    """Evolve rho through the local channel, sum_ij (A_i x B_j) rho (A_i x B_j)^dagger,
-    contracting one subsystem at a time on the (d_A, d_B, d_A, d_B) tensor."""
+    """Evolve rho through the local channel, sum_ij (A_i x B_j) rho (A_i x B_j)^dagger.
+
+    On the realigned (d_A^2, d_B^2) view X of rho the channel is
+    M_A X M_B^T, with M the per-subsystem superoperators.  A leading p'
+    axis on the Kraus stacks, on rho, or on both gives a stack of states.
+    """
     if ks.dims != (rho.dim_a, rho.dim_b):
         raise ShapeMismatch(
             f"Kraus set is for dims {ks.dims}, state has ({rho.dim_a}, {rho.dim_b})"
         )
-    a, b = ks.ops_a, ks.ops_b
-    r = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    r = np.einsum("iae,efgh,icg->afch", a, r, a.conj())
-    r = np.einsum("jbf,afch,jdh->abcd", b, r, b.conj())
-    return DensityMatrix(rho.dim_a, rho.dim_b, r.reshape(rho.dim, rho.dim))
+    da, db = rho.dim_a, rho.dim_b
+    x = superoperator(ks.ops_a) @ realign(rho) @ superoperator(ks.ops_b).swapaxes(-1, -2)
+    r = x.reshape(x.shape[:-2] + (da, da, db, db)).swapaxes(-3, -2)
+    return DensityMatrix(da, db, r.reshape(x.shape[:-2] + (rho.dim, rho.dim)))

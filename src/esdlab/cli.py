@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -138,6 +137,8 @@ class ResolvedRun:
 def _parallel_map(fn, jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # imported here: it pulls in multiprocessing, socket and logging
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
@@ -145,27 +146,19 @@ def _parallel_map(fn, jobs, workers: int):
 # ---------------------------------------------------------------- commands
 
 
-def _evolve_row(job):
-    run, flipped, pp = job
-    rho = damp(flipped, run.model, pp)
-    row = {"p_prime": io.round9(pp), "negativity": io.round9(negativity(rho, run.tolerances))}
-    if run.is_two_qutrit:
-        row["realigned_negativity"] = io.round9(realigned_negativity(rho))
-    if run.config.debug_matrices:
-        row["matrix"] = io.matrix_to_pairs(rho.matrix)
-    return row
-
-
 def cmd_evolve(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     tol = run.tolerances
-    pps = [float(p) for p in np.arange(0.0, tol.death_cap, run.config.pprime_step)]
-    pps.append(tol.death_cap)
+    pps = np.append(np.arange(0.0, tol.death_cap, run.config.pprime_step), tol.death_cap)
     flipped = state_after_flip(StageSchedule(run.family, run.model, run.op, run.config.pn))
-    rows = _parallel_map(_evolve_row, [(run, flipped, pp) for pp in pps], run.config.workers)
-    header = ["p_prime", "negativity"] + (
-        ["realigned_negativity"] if run.is_two_qutrit else []
-    )
-    return header, rows, {}
+    rho = damp(flipped, run.model, pps)
+    columns = {"p_prime": pps, "negativity": negativity(rho, tol)}
+    if run.is_two_qutrit:
+        columns["realigned_negativity"] = realigned_negativity(rho)
+    rows = [dict(zip(columns, map(io.round9, values))) for values in zip(*columns.values())]
+    if run.config.debug_matrices:
+        for row, m in zip(rows, rho.matrix):
+            row["matrix"] = io.matrix_to_pairs(m)
+    return list(columns), rows, {}
 
 
 def cmd_boundary(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:

@@ -8,13 +8,12 @@ both curves are parameterized by the shared abscissa p_n.
 
 Death points are located by bracketing negativity's zero crossing on a
 coarse p' grid and bisecting; regime boundaries bisect over p_n.  A p'
-sweep builds ``state_after_flip`` once and ``damp``s it per sample.
+sweep builds ``state_after_flip`` once and ``damp``s it as one stack.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -47,8 +46,9 @@ class StageSchedule:
         return replace(self, op=IDENTITY_OP)
 
 
-def damp(rho: DensityMatrix, model: DecayModel, p: float) -> DensityMatrix:
-    """One damping stage of reference strength p on both subsystems."""
+def damp(rho: DensityMatrix, model: DecayModel, p) -> DensityMatrix:
+    """One damping stage of reference strength p on both subsystems; an
+    array of p gives the stack of states, one per element."""
     return apply_channel(rho, composite_kraus((rho.dim_a, rho.dim_b), p, model))
 
 
@@ -144,15 +144,10 @@ def death_point_record(s: StageSchedule, tol: Tolerances = DEFAULT) -> DeathReco
     return DeathRecord(p_prime=death, iterations=iterations, bracket=bracket)
 
 
-@functools.lru_cache(maxsize=200_000)
-def _death_point_cached(s: StageSchedule, tol: Tolerances) -> float | None:
-    return death_point_record(s, tol).p_prime
-
-
 def death_point(s: StageSchedule, tol: Tolerances = DEFAULT) -> float | None:
     """Smallest p' in [0, 1) with vanishing negativity, or None if the
     negativity survives up to the cap (avoidance / asymptotic decay)."""
-    return _death_point_cached(s, tol)
+    return death_point_record(s, tol).p_prime
 
 
 def classify(s: StageSchedule, tol: Tolerances = DEFAULT) -> ClassificationVerdict:
@@ -167,7 +162,8 @@ def classify(s: StageSchedule, tol: Tolerances = DEFAULT) -> ClassificationVerdi
     baseline = death_point(s.baseline(), tol)
     if baseline is None:
         return ClassificationVerdict(s.p_n, Outcome.NO_BASELINE_DEATH, None, None)
-    manipulated = death_point(s, tol)
+    # the identity flip leaves the baseline pipeline unchanged
+    manipulated = baseline if s.op.is_identity else death_point(s, tol)
     if manipulated is None:
         return ClassificationVerdict(s.p_n, Outcome.AVOID, baseline, None)
     if manipulated > baseline + tol.bisection:
@@ -346,7 +342,5 @@ def sweep_surface(
 def _surface_column(job):
     family, model, op, pn, pps, tol = job
     s = StageSchedule(family, model, op, pn)
-    flipped = state_after_flip(s)
-    values = [negativity(damp(flipped, model, pp), tol=tol) for pp in pps]
-    death = death_point(s, tol)
-    return pn, values, death
+    values = negativity(damp(state_after_flip(s), model, np.array(pps)), tol=tol).tolist()
+    return pn, values, death_point(s, tol)

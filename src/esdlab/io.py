@@ -61,7 +61,8 @@ def json_document(
 
 
 def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+    m = np.asarray(m, complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def pairs_to_matrix(pairs: list[list[list[float]]]) -> np.ndarray:

@@ -4,12 +4,16 @@ Negativity is conclusive in 2x3: zero negativity means separable.  In 3x3
 it is not; when negativity vanishes there the realignment criterion is
 consulted, and a null result is reported as "undetected", never as
 "separable".
+
+``negativity`` and ``realigned_negativity`` give one value per state of a stack.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import qla
 from .config import DEFAULT, Tolerances
@@ -29,18 +33,18 @@ class EntanglementReading:
     verdict: Verdict
 
 
-def negativity(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float:
+def negativity(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float | np.ndarray:
     """Sum of |lambda| over the negative eigenvalues of the partial
     transpose.  The subsystem choice does not affect the value."""
-    pt = qla.partial_transpose(rho, "A")
-    w = qla.hermitian_eigenvalues(pt, tol=tol)
-    return float(-w[w < 0.0].sum()) + 0.0  # avoid -0.0
+    w = qla.hermitian_eigenvalues(qla.partial_transpose(rho, "A"), tol=tol)
+    # the negatives lead the ascending spectrum: sum them left to right
+    return -np.minimum(w, 0.0).cumsum(axis=-1)[..., -1] + 0.0  # avoid -0.0
 
 
-def realigned_negativity(rho: DensityMatrix) -> float:
+def realigned_negativity(rho: DensityMatrix) -> float | np.ndarray:
     """max(0, ||realign(rho)||_tr - 1); positive values certify
     entanglement, including some PPT (bound-entangled) states."""
-    return max(0.0, qla.trace_norm(qla.realign(rho)) - 1.0)
+    return np.maximum(0.0, qla.trace_norm(qla.realign(rho)) - 1.0)
 
 
 def assess(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> EntanglementReading:

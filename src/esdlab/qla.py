@@ -6,6 +6,8 @@ Composite basis ordering is lexicographic |i>_A (x) |j>_B, i.e. the flat
 index of |ij> is ``dim_b * i + j``.  All operations return new arrays;
 nothing mutates its input.
 
+Every operation takes one matrix or a stack of matrices with one leading
+axis (a p' sweep), and returns one result per matrix of the stack.
 Eigenvalues and singular values come from LAPACK through ``numpy.linalg``;
 a LAPACK failure propagates as ``numpy.linalg.LinAlgError``.
 """
@@ -21,8 +23,16 @@ from .errors import NonHermitianInput, ShapeMismatch
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max |m_ij - conj(m_ji)|."""
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    """max |m_ij - conj(m_ji)|, worst matrix of a stack."""
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
+
+
+def _check_stack(m: np.ndarray, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``m`` as a complex matrix or stack of them, of matrix shape ``shape`` or square."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (shape or m.shape[-1:] * 2):
+        raise ShapeMismatch(f"expected a {shape or 'square'} matrix or stack, got {m.shape}")
+    return m
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -34,43 +44,44 @@ def hermitian_eigenvalues(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarra
     damped states' partial transposes split into 1x1 and 2x2 blocks that
     differ by many orders of magnitude, and their small eigenvalues would
     otherwise lose printed digits of negativity.
+
+    A stack (n, d, d) gives (n, d): each matrix is reordered by its own
+    blocks, and one LAPACK call solves each matrix as a call on it alone.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {m.shape}")
-    if hermiticity_defect(m) > tol.hermiticity:
-        raise NonHermitianInput(
-            f"Hermiticity defect {hermiticity_defect(m):.3e} exceeds "
-            f"{tol.hermiticity:.0e}"
-        )
-    n = m.shape[0]
-    linked = (m != 0) | np.eye(n, dtype=bool)
+    m = _check_stack(m)
+    if (defect := hermiticity_defect(m)) > tol.hermiticity:
+        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.0e}")
+    stack = m.reshape((-1,) + m.shape[-2:])
+    n = m.shape[-1]
+    linked = (stack != 0) | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):  # each squaring doubles the path length
         linked = linked @ linked
     # label each index by the first index of its block; sorting groups blocks
-    order = np.argsort(linked.argmax(axis=1), kind="stable")
-    return np.linalg.eigvalsh(m[np.ix_(order, order)])
+    order = np.argsort(linked.argmax(axis=-1), axis=-1, kind="stable")[:, :, None]
+    blocked = stack[np.arange(len(stack))[:, None, None], order, order.swapaxes(1, 2)]
+    return np.linalg.eigvalsh(blocked).reshape(m.shape[:-1])
 
 
-def trace_norm(m: np.ndarray) -> float:
+def trace_norm(m: np.ndarray) -> float | np.ndarray:
     """Sum of singular values.
 
     Rectangular inputs are allowed (realigned matrices are d_A^2 x d_B^2).
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    if m.ndim not in (2, 3):
+        raise ShapeMismatch(f"expected a matrix or stack, got shape {m.shape}")
+    return np.linalg.svd(m, compute_uv=False).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A bipartite density matrix tagged with its subsystem dimensions.
+    """A bipartite density matrix, or a stack of them along one leading
+    axis, tagged with the subsystem dimensions.
 
-    Checked at construction: shape, finiteness, Hermiticity, unit trace.
-    Positivity requires an eigensolve and is verified by ``min_eigenvalue``
-    where callers need it (state builders, property tests); channel outputs
-    are positive by construction.
+    Checked at construction, per matrix: shape, finiteness, Hermiticity,
+    unit trace.  Positivity requires an eigensolve and is verified by
+    ``min_eigenvalue`` where callers need it (state builders, property
+    tests); channel outputs are positive by construction.
     """
 
     dim_a: int
@@ -83,19 +94,14 @@ class DensityMatrix:
                 f"supported subsystem dimensions are 2 and 3, got "
                 f"({self.dim_a}, {self.dim_b})"
             )
-        d = self.dim_a * self.dim_b
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (d, d):
-            raise ShapeMismatch(f"expected a {d}x{d} matrix, got {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        m = _check_stack(np.array(self.matrix, dtype=complex), (self.dim,) * 2)
+        if not np.isfinite(m).all():
             raise ValueError("matrix contains NaN or Inf entries")
-        if hermiticity_defect(m) > DEFAULT.hermiticity:
-            raise NonHermitianInput(
-                f"Hermiticity defect {hermiticity_defect(m):.3e}"
-            )
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > DEFAULT.trace:
-            raise ValueError(f"trace {tr} is not 1 within {DEFAULT.trace:.0e}")
+        if (defect := hermiticity_defect(m)) > DEFAULT.hermiticity:
+            raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
+        off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+        if (off > DEFAULT.trace).any():
+            raise ValueError(f"trace is off 1 by {np.max(off):.3e}, over {DEFAULT.trace:.0e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -103,26 +109,23 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.dim_a * self.dim_b
 
-    def min_eigenvalue(self) -> float:
-        return float(hermitian_eigenvalues(self.matrix)[0])
+    def min_eigenvalue(self) -> float | np.ndarray:
+        return hermitian_eigenvalues(self.matrix)[..., 0]
 
 
 def partial_transpose_matrix(
     m: np.ndarray, dim_a: int, dim_b: int, subsystem: str = "A"
 ) -> np.ndarray:
     """Block transpose on one subsystem of a (dim_a*dim_b)-square matrix."""
-    d = dim_a * dim_b
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d, d):
-        raise ShapeMismatch(f"expected a {d}x{d} matrix, got {m.shape}")
-    r = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    m = _check_stack(m, (dim_a * dim_b,) * 2)
+    r = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if subsystem == "A":
-        r = r.transpose(2, 1, 0, 3)
+        r = r.swapaxes(-4, -2)
     elif subsystem == "B":
-        r = r.transpose(0, 3, 2, 1)
+        r = r.swapaxes(-3, -1)
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return r.reshape(d, d).copy()
+    return r.reshape(m.shape).copy()
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
@@ -137,12 +140,9 @@ def realign_matrix(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     Row index ranges over pairs of subsystem-A indices, column index over
     pairs of subsystem-B indices; the result has shape dim_a^2 x dim_b^2.
     """
-    d = dim_a * dim_b
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d, d):
-        raise ShapeMismatch(f"expected a {d}x{d} matrix, got {m.shape}")
-    r = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    return r.transpose(0, 2, 1, 3).reshape(dim_a * dim_a, dim_b * dim_b).copy()
+    m = _check_stack(m, (dim_a * dim_b,) * 2)
+    r = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b)).swapaxes(-3, -2)
+    return r.reshape(m.shape[:-2] + (dim_a * dim_a, dim_b * dim_b)).copy()
 
 
 def realign(rho: DensityMatrix) -> np.ndarray:

@@ -59,6 +59,13 @@ def test_probability_range_checks():
         qutrit_kraus(0.5, 2.0)
     with pytest.raises(DomainError):
         composite_kraus((2, 2), 0.5, M23)
+    # arrays of p: one element out of range rejects the whole array
+    with pytest.raises(DomainError):
+        qubit_kraus(np.array([0.0, 0.5, 1.0 + 1e-12]))
+    with pytest.raises(DomainError):
+        qutrit_kraus(np.array([0.2, 0.3]), np.array([0.1, -1e-9]))
+    with pytest.raises(DomainError):
+        composite_kraus((3, 3), np.array([0.5, np.nan]), default_model((3, 3)))
     with pytest.raises(DomainError):
         DecayModel(ratio_a=1.2, ratio_b=0.5)
     with pytest.raises(DomainError):
@@ -76,6 +83,11 @@ def test_composite_kraus_structure():
     assert k33.dims == (3, 3)
     assert k33.ops_a.shape == k33.ops_b.shape == (3, 3, 3)
     assert k33.completeness_residual() <= 1e-12
+    # an array of p gives one Kraus stack per element
+    swept = composite_kraus((2, 3), np.array([0.0, 0.5]), M23)
+    assert swept.ops_a.shape == (2, 2, 2, 2) and swept.ops_b.shape == (2, 3, 3, 3)
+    assert np.array_equal(swept.ops_b[1], composite_kraus((2, 3), 0.5, M23).ops_b)
+    assert swept.completeness_residual() <= 1e-12
 
 
 @pytest.mark.parametrize("p", np.round(np.arange(0.0, 1.01, 0.1), 10))

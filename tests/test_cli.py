@@ -101,11 +101,18 @@ def test_scan_csv_footer_matches_summary(capsys):
     assert abs(float(footer[2]) - 0.2941) < 2e-3  # avoid_end
 
 
-def test_deterministic_output_across_worker_counts(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "base",
+    [
+        ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F01", "--pn-step", "0.2"],
+        ["evolve", "--family", "twoqutrit", "--op-a", "F01", "--op-b", "F02", "--pn", "0.1"],
+        ["surface", "--family", "state2", "--op-a", "X", "--op-b", "F201", "--grid", "5"],
+    ],
+    ids=["scan", "evolve", "surface"],
+)
+def test_deterministic_output_across_worker_counts(tmp_path, base):
     out1 = tmp_path / "w1.csv"
     out2 = tmp_path / "w2.csv"
-    base = ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F01",
-            "--pn-step", "0.2"]
     assert main(base + ["--workers", "1", "--out", str(out1)]) == 0
     assert main(base + ["--workers", "2", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()

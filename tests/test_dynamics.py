@@ -10,15 +10,17 @@ from esdlab.dynamics import (
     StageSchedule,
     classify,
     critical_x,
+    damp,
     death_point,
     death_point_record,
     evolve_two_stage,
     regime_boundaries,
+    state_after_flip,
     sweep_surface,
 )
 from esdlab.errors import DomainError
 from esdlab.luo import IDENTITY_OP, LocalUnitary
-from esdlab.measures import negativity
+from esdlab.measures import negativity, realigned_negativity
 from esdlab.states import FamilyId, StateFamily, build_state, separability_indicator
 
 M23 = default_model((2, 3))
@@ -281,6 +283,30 @@ def test_family2_surface_death_is_symmetric():
 def test_surface_grid_validation():
     with pytest.raises(DomainError):
         sweep_surface(FAMILY1, M23, grid=1)
+
+
+@pytest.mark.parametrize(
+    "family, op",
+    [
+        (FAMILY1, LocalUnitary("X", "F01")),
+        (StateFamily(FamilyId.STATE2, 0.4), LocalUnitary("I", "F201")),
+        (TWO_QUTRIT, LocalUnitary("F102", "F02")),
+    ],
+    ids=["state1", "state2", "twoqutrit"],
+)
+def test_stacked_sweep_equals_scalar_path_bitwise(family, op):
+    model = default_model(family.dims)
+    flipped = state_after_flip(sched(family, op, pn=0.2))
+    pps = np.append(np.arange(0.0, 1.0 - 1e-6, 0.01), 1.0 - 1e-6)
+    stack = damp(flipped, model, pps)
+    negs, realigned = negativity(stack), realigned_negativity(stack)
+    assert stack.matrix.shape == (len(pps), flipped.dim, flipped.dim)
+    assert np.count_nonzero(negs) > 10 and np.count_nonzero(negs == 0.0) > 10
+    for i, pp in enumerate(pps.tolist()):
+        rho = damp(flipped, model, pp)
+        assert np.array_equal(stack.matrix[i], rho.matrix)
+        assert negs[i] == negativity(rho)
+        assert realigned[i] == realigned_negativity(rho)
 
 
 # ------------------------------------------------------- oracle agreement

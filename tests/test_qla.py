@@ -78,6 +78,26 @@ def test_small_decoupled_blocks_keep_their_precision():
     w = qla.hermitian_eigenvalues(m)
     assert w[0] < 0.0 < w[1]
     assert np.allclose(w[:3], small, rtol=1e-12, atol=0.0)
+    # in a stack beside a matrix of another block order, the same values
+    other = np.diag([0.1, 0.2, 0.3, 0.2, 0.2]).astype(complex)
+    other[0, 1] = other[1, 0] = 0.05
+    assert np.array_equal(qla.hermitian_eigenvalues(np.stack([other, m]))[1], w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stacked_eigenvalues_equal_per_matrix_calls_bitwise(seed):
+    # each member gets its own sparsity pattern, hence its own block order
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(6):
+        g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        g *= rng.random((9, 9)) < 0.15
+        h = (g + g.conj().T) / 2.0 + np.diag(rng.normal(size=9) * 10.0 ** rng.integers(-12, 1, 9))
+        stack.append(h)
+    stack = np.array(stack)
+    expected = np.array([qla.hermitian_eigenvalues(h) for h in stack])
+    assert np.array_equal(qla.hermitian_eigenvalues(stack), expected)
 
 
 # ------------------------------------------------------------ trace norm
@@ -205,6 +225,13 @@ def test_density_matrix_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         DensityMatrix(2, 3, bad)
+    # a stack is checked matrix by matrix
+    good = np.eye(6, dtype=complex) / 6.0
+    assert DensityMatrix(2, 3, np.stack([good, good])).matrix.shape == (2, 6, 6)
+    with pytest.raises(ValueError):
+        DensityMatrix(2, 3, np.stack([good, 2.0 * good]))
+    with pytest.raises(ValueError):
+        DensityMatrix(2, 3, np.stack([good, bad]))
 
 
 def test_density_matrix_is_immutable():
