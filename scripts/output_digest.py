@@ -4,11 +4,15 @@
 One line per command: the exit code, the SHA-256 of its stdout followed by
 its stderr, and the argv.  Run it on two versions of the code and diff the
 outputs; identical digests mean byte-identical output.  The set covers
-every command: table1, scans on both 2x3 families, surfaces on 2x3 and
-3x3 with one and two workers, evolve in CSV and JSON on all three
-families, 60 seeded boundary queries and two configuration errors.
+every command: the help texts; table1; scans on both 2x3 families, on a
+hasten-only, an avoid-and-delay-only and a 3x3 flip pair; surfaces on 2x3
+and 3x3 with one and two workers; evolve in CSV and JSON on all three
+families, and on a grid fine enough to take several stacks; 60 seeded
+boundary queries, one more at --tol 1e-9, and two configuration errors.
 
-    PYTHONPATH=src python scripts/output_digest.py
+    PYTHONPATH=src COLUMNS=80 python scripts/output_digest.py
+
+COLUMNS fixes the width argparse wraps the help texts to.
 """
 
 import hashlib
@@ -16,17 +20,21 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-from esdlab.cli import main
+from esdlab.cli import COMMANDS, main
 
 QUBIT_OPS = ("I", "X")
 QUTRIT_OPS = ("I", "F01", "F02", "F102", "F201")
 
 
 def commands() -> list[list[str]]:
-    cmds = [
+    cmds = [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
+    cmds += [
         ["table1"],
         ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F01"],
         ["scan", "--family", "state2", "--op-a", "I", "--op-b", "F02"],
+        ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F02"],
+        ["scan", "--family", "state1", "--op-a", "I", "--op-b", "F01"],
+        ["scan", "--family", "twoqutrit", "--op-a", "F01", "--op-b", "I"],
     ]
     for family, op_a, op_b in (("state1", "X", "F01"), ("twoqutrit", "F01", "F02")):
         for workers in ("1", "2"):
@@ -37,6 +45,9 @@ def commands() -> list[list[str]]:
         for fmt in ("csv", "json"):
             cmds.append(["evolve", "--family", family, "--op-a", op_a, "--op-b", op_b,
                          "--pn", "0.15", "--format", fmt])
+    fine = ["evolve", "--family", "state1", "--op-a", "X", "--op-b", "F01", "--pn", "0.1",
+            "--pprime-step", "0.0003"]
+    cmds += [fine, fine + ["--format", "json", "--debug-matrices"]]
     rng = random.Random(20201)
     for i in range(60):
         family = "state1" if i % 2 else "state2"
@@ -44,6 +55,8 @@ def commands() -> list[list[str]]:
         cmds.append(["boundary", "--family", family, "--x", f"{x:.6f}",
                      "--op-a", rng.choice(QUBIT_OPS), "--op-b", rng.choice(QUTRIT_OPS),
                      "--pn", f"{rng.uniform(0.0, 0.5):.6f}"])
+    cmds.append(["boundary", "--family", "state1", "--op-a", "X", "--op-b", "F01",
+                 "--pn", "0.3", "--tol", "1e-9"])
     cmds.append(["boundary", "--family", "state1", "--x", "0.4"])
     cmds.append(["evolve", "--family", "twoqutrit", "--op-a", "X"])
     return cmds
@@ -52,7 +65,10 @@ def commands() -> list[list[str]]:
 def digest(argv: list[str]) -> tuple[int, str]:
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
     return code, hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
 
 

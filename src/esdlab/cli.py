@@ -24,6 +24,7 @@ from .dynamics import (
     classify,
     damp,
     death_point_record,
+    pprime_grid,
     regime_boundaries,
     state_after_flip,
     sweep_surface,
@@ -35,6 +36,10 @@ from .measures import negativity, realigned_negativity
 from .states import FamilyId, StateFamily
 
 DEFAULT_X = {FamilyId.STATE1: 0.25, FamilyId.STATE2: 0.5, FamilyId.TWO_QUTRIT: 0.25}
+
+# p' samples damped and measured per stack in ``evolve``: its memory stays
+# bounded whatever the --pprime-step
+EVOLVE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -147,18 +152,24 @@ def _parallel_map(fn, jobs, workers: int):
 
 
 def cmd_evolve(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
-    tol = run.tolerances
-    pps = np.append(np.arange(0.0, tol.death_cap, run.config.pprime_step), tol.death_cap)
-    flipped = state_after_flip(StageSchedule(run.family, run.model, run.op, run.config.pn))
-    rho = damp(flipped, run.model, pps)
-    columns = {"p_prime": pps, "negativity": negativity(rho, tol)}
+    header = ["p_prime", "negativity"]
     if run.is_two_qutrit:
-        columns["realigned_negativity"] = realigned_negativity(rho)
-    rows = [dict(zip(columns, map(io.round9, values))) for values in zip(*columns.values())]
-    if run.config.debug_matrices:
-        for row, m in zip(rows, rho.matrix):
-            row["matrix"] = io.matrix_to_pairs(m)
-    return list(columns), rows, {}
+        header.append("realigned_negativity")
+    pps = pprime_grid(run.tolerances)
+    flipped = state_after_flip(StageSchedule(run.family, run.model, run.op, run.config.pn))
+    rows = []
+    for start in range(0, len(pps), EVOLVE_CHUNK):
+        chunk = pps[start:start + EVOLVE_CHUNK]
+        rho = damp(flipped, run.model, chunk)
+        columns = [chunk, negativity(rho, run.tolerances)]
+        if run.is_two_qutrit:
+            columns.append(realigned_negativity(rho))
+        for values, m in zip(zip(*columns), rho.matrix):
+            row = dict(zip(header, map(io.round9, values)))
+            if run.config.debug_matrices:
+                row["matrix"] = io.matrix_to_pairs(m)
+            rows.append(row)
+    return header, rows, {}
 
 
 def cmd_boundary(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
@@ -277,28 +288,27 @@ def build_parser() -> argparse.ArgumentParser:
         ("table1", "classification patterns for all nine flip pairs"),
         ("surface", "negativity samples over the (p_n, p') rectangle"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", default="state1", help="state1 | state2 | twoqutrit")
-        p.add_argument("--x", type=float, default=None, help="family parameter")
-        p.add_argument("--ratio-a", type=float, default=None, dest="ratio_a")
-        p.add_argument("--ratio-b", type=float, default=None, dest="ratio_b")
-        p.add_argument("--op-a", default="I", dest="op_a", help="I | X (qubit) or flips")
-        p.add_argument("--op-b", default="I", dest="op_b", help="I | F01 | F02 | F102 | F201")
-        p.add_argument("--pn", type=float, default=0.0, help="flip application point")
-        p.add_argument("--pn-step", type=float, default=0.01, dest="pn_step")
-        p.add_argument("--pprime-step", type=float, default=0.01, dest="pprime_step")
-        p.add_argument("--tol", type=float, default=5e-4, help="bisection tolerance")
-        p.add_argument(
-            "--zero-threshold", type=float, default=1e-12, dest="zero_threshold"
-        )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--grid", type=int, default=21, help="surface grid per axis")
+        # options left out of the argv stay unset, so RunConfig's field
+        # defaults are the only defaults
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--family", help="state1 | state2 | twoqutrit")
+        p.add_argument("--x", type=float, help="family parameter")
+        p.add_argument("--ratio-a", type=float)
+        p.add_argument("--ratio-b", type=float)
+        p.add_argument("--op-a", help="I | X (qubit) or flips")
+        p.add_argument("--op-b", help="I | F01 | F02 | F102 | F201")
+        p.add_argument("--pn", type=float, help="flip application point")
+        p.add_argument("--pn-step", type=float)
+        p.add_argument("--pprime-step", type=float)
+        p.add_argument("--tol", type=float, help="bisection tolerance")
+        p.add_argument("--zero-threshold", type=float)
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--workers", type=int)
+        p.add_argument("--grid", type=int, help="surface grid per axis")
         p.add_argument(
             "--debug-matrices",
             action="store_true",
-            dest="debug_matrices",
             help="embed evolved matrices in JSON rows",
         )
     return parser

@@ -6,22 +6,26 @@ With the identity flip the pipeline is the uninterrupted two-stage
 evolution, which serves as the comparison baseline (the "red curve"):
 both curves are parameterized by the shared abscissa p_n.
 
-Death points are located by bracketing negativity's zero crossing on a
-coarse p' grid and bisecting; regime boundaries bisect over p_n.  A p'
-sweep builds ``state_after_flip`` once and ``damp``s it as one stack.
+Death points are located by scanning the p' grid (``pprime_grid``) for
+the first sample where negativity vanishes and bisecting the step before
+it; regime boundaries bisect over p_n and ``critical_x`` over x, all with
+the one ``_bisect``.  Nothing is checked past a death point: local CPTP
+maps cannot create entanglement (Peres 1996), and a stronger damping
+stage equals a weaker one followed by a valid local increment, so once
+negativity vanishes along p' it stays zero.  A p' sweep builds
+``state_after_flip`` once and ``damp``s it as one stack.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import DecayModel, apply_channel, composite_kraus, default_model
 from .config import DEFAULT, Tolerances
-from .errors import DomainError, NonMonotoneWarning
+from .errors import DomainError
 from .luo import IDENTITY_OP, LocalUnitary, apply_luo
 from .measures import negativity
 from .qla import DensityMatrix
@@ -58,8 +62,9 @@ def state_after_flip(s: StageSchedule) -> DensityMatrix:
     return rho if s.op.is_identity else apply_luo(rho, s.op)
 
 
-def evolve_two_stage(s: StageSchedule, p_prime: float) -> DensityMatrix:
-    """State after the full pipeline at second-stage strength p_prime."""
+def evolve_two_stage(s: StageSchedule, p_prime) -> DensityMatrix:
+    """State after the full pipeline at second-stage strength p_prime; an
+    array of p_prime gives the stack of states, one per element."""
     return damp(state_after_flip(s), s.model, p_prime)
 
 
@@ -93,55 +98,53 @@ class DeathRecord:
     bracket: tuple[float, float] | None
 
 
-def death_point_record(s: StageSchedule, tol: Tolerances = DEFAULT) -> DeathRecord:
-    """Locate the smallest p' where negativity vanishes, with solver detail.
+def pprime_grid(tol: Tolerances) -> np.ndarray:
+    """The p' samples: 0 to ``tol.death_cap`` in steps of
+    ``tol.pprime_grid_step``, with the cap itself as the last sample."""
+    return np.append(np.arange(0.0, tol.death_cap, tol.pprime_grid_step), tol.death_cap)
 
-    Scans a coarse grid (step ``tol.pprime_grid_step``) up to
-    ``tol.death_cap``, then bisects the bracketing interval down to
-    ``tol.bisection``.  Returns p_prime=None when negativity stays above
-    the zero threshold on the whole grid (asymptotic decay / avoidance).
-    A verification grid past the death point guards against re-crossing;
-    a re-crossing would contradict monotone disentanglement under this
-    channel and is reported as NonMonotoneWarning, not silently ignored.
-    """
-    zero = tol.negativity_zero
-    flipped = state_after_flip(s)
-    f = lambda pp: negativity(damp(flipped, s.model, pp), tol=tol)
-    if f(0.0) <= zero:
-        return DeathRecord(p_prime=0.0, iterations=0, bracket=(0.0, 0.0))
 
-    grid = np.arange(0.0, tol.death_cap, tol.pprime_grid_step)
-    grid = np.append(grid, tol.death_cap)
-    lo = 0.0
-    hi = None
-    for pp in grid[1:]:
-        if f(float(pp)) <= zero:
-            hi = float(pp)
-            break
-        lo = float(pp)
-    if hi is None:
-        return DeathRecord(p_prime=None, iterations=len(grid) - 1, bracket=None)
-
-    bracket = (lo, hi)
-    iterations = 0
-    while hi - lo > tol.bisection:
+def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, int]:
+    """Halve [lo, hi] until it is no wider than tol, keeping pred false at
+    lo and true at hi.  Returns the final midpoint and the step count."""
+    steps = 0
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) <= zero:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-        iterations += 1
-    death = 0.5 * (lo + hi)
+        steps += 1
+    return 0.5 * (lo + hi), steps
 
-    check = np.linspace(min(hi + tol.pprime_grid_step, tol.death_cap), tol.death_cap, 8)
-    recross = [float(pp) for pp in check if f(float(pp)) > zero]
-    if recross:
-        warnings.warn(
-            f"negativity re-crossed zero after death at p'={death:.6f} "
-            f"(first at p'={recross[0]:.4f})",
-            NonMonotoneWarning,
-        )
-    return DeathRecord(p_prime=death, iterations=iterations, bracket=bracket)
+
+def death_point_record(s: StageSchedule, tol: Tolerances = DEFAULT) -> DeathRecord:
+    """Locate the smallest p' where negativity vanishes, with solver detail.
+
+    Scans ``pprime_grid(tol)`` for the first sample at or below the zero
+    threshold, then bisects the step before it down to ``tol.bisection``;
+    ``bracket`` is that step.  Returns p_prime=None when negativity stays
+    above the threshold on the whole grid (asymptotic decay / avoidance).
+    Nothing past the death point is checked: negativity cannot revive
+    along p', since a stronger damping stage equals a weaker one
+    followed by a local CPTP increment, and local CPTP maps preserve a
+    positive partial transpose.
+    """
+    zero = tol.negativity_zero
+    flipped = state_after_flip(s)
+    dead = lambda pp: negativity(damp(flipped, s.model, pp), tol=tol) <= zero
+    if dead(0.0):
+        return DeathRecord(p_prime=0.0, iterations=0, bracket=(0.0, 0.0))
+
+    grid = pprime_grid(tol)
+    lo = 0.0
+    for pp in grid[1:]:
+        hi = float(pp)
+        if dead(hi):
+            death, iterations = _bisect(dead, lo, hi, tol.bisection)
+            return DeathRecord(p_prime=death, iterations=iterations, bracket=(lo, hi))
+        lo = hi
+    return DeathRecord(p_prime=None, iterations=len(grid) - 1, bracket=None)
 
 
 def death_point(s: StageSchedule, tol: Tolerances = DEFAULT) -> float | None:
@@ -188,16 +191,12 @@ class RegimeBoundaries:
     has_hasten: bool
 
 
-def _is_avoid(s: StageSchedule, tol: Tolerances) -> bool:
-    return death_point(s, tol) is None
-
-
-def _is_delayed_or_avoid(s: StageSchedule, tol: Tolerances) -> bool:
+def _dies_no_later(s: StageSchedule, tol: Tolerances) -> bool:
     manipulated = death_point(s, tol)
     if manipulated is None:
-        return True
+        return False
     baseline = death_point(s.baseline(), tol)
-    return baseline is not None and manipulated > baseline
+    return baseline is None or manipulated <= baseline
 
 
 def regime_boundaries(
@@ -208,6 +207,8 @@ def regime_boundaries(
 ) -> RegimeBoundaries:
     """Bisect over p_n for the ends of the Avoid and Delay intervals."""
     sched = lambda pn: StageSchedule(family, model, op, pn)
+    dies = lambda pn: death_point(sched(pn), tol) is not None
+    no_later = lambda pn: _dies_no_later(sched(pn), tol)
     d0 = death_point(sched(0.0).baseline(), tol)
     if d0 is None:
         raise DomainError("family does not undergo baseline sudden death")
@@ -216,34 +217,21 @@ def regime_boundaries(
         return RegimeBoundaries(0.0, d0, d0, has_hasten=False)
 
     # largest p_n whose verdict is Avoid
-    if not _is_avoid(sched(0.0), tol):
+    if dies(0.0):
         avoid_end = 0.0
     else:
-        lo, hi = 0.0, d0
-        while hi - lo > tol.bisection:
-            mid = 0.5 * (lo + hi)
-            if _is_avoid(sched(mid), tol):
-                lo = mid
-            else:
-                hi = mid
-        avoid_end = 0.5 * (lo + hi)
+        avoid_end, _ = _bisect(dies, 0.0, d0, tol.bisection)
 
     # supremum of the Delay interval; equals baseline death when the
     # manipulated curve never dips below the baseline
     probe = d0 * (1.0 - 1e-3)
-    if _is_delayed_or_avoid(sched(probe), tol):
+    if not no_later(probe):
         return RegimeBoundaries(avoid_end, d0, d0, has_hasten=False)
-    if avoid_end == 0.0 and not _is_delayed_or_avoid(sched(tol.bisection / 2.0), tol):
+    if avoid_end == 0.0 and no_later(tol.bisection / 2.0):
         # hasten-only flip: no avoidance, no delay anywhere
         return RegimeBoundaries(0.0, 0.0, d0, has_hasten=True)
-    lo, hi = avoid_end, probe
-    while hi - lo > tol.bisection:
-        mid = 0.5 * (lo + hi)
-        if _is_delayed_or_avoid(sched(mid), tol):
-            lo = mid
-        else:
-            hi = mid
-    return RegimeBoundaries(avoid_end, 0.5 * (lo + hi), d0, has_hasten=True)
+    delay_end, _ = _bisect(no_later, avoid_end, probe, tol.bisection)
+    return RegimeBoundaries(avoid_end, delay_end, d0, has_hasten=True)
 
 
 # the nine flip pairs of the classification table, in table order
@@ -306,13 +294,8 @@ def critical_x(
         return None  # dies everywhere on the range
     if not dies(hi):
         raise DomainError("family never undergoes sudden death on its range")
-    while hi - lo > tol.bisection:
-        mid = 0.5 * (lo + hi)
-        if dies(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    x, _ = _bisect(dies, lo, hi, tol.bisection)
+    return x
 
 
 def sweep_surface(

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 LAPACK failures are not wrapped: they surface as numpy.linalg.LinAlgError.
 """
@@ -18,7 +18,3 @@ class NonHermitianInput(ValueError):
 
 class UnknownOperation(ValueError):
     """An operation name is not in the flip catalog for the given dimension."""
-
-
-class NonMonotoneWarning(UserWarning):
-    """Negativity re-crossed the zero threshold after a detected death point."""

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from esdlab import io
-from esdlab.cli import RunConfig, main
+from esdlab.cli import RunConfig, build_parser, main
 from esdlab.states import FamilyId, StateFamily, build_state
 
 
@@ -184,14 +185,49 @@ p_prime,negativity
 0.8,0
 0.999999,0
 """,
+    # the death point, the bisection step count and the grid bracket
+    ("boundary", "--family", "state1", "--x", "0.25", "--op-a", "X", "--op-b", "F01",
+     "--pn", "0.3"): """\
+family,x,op_a,op_b,p_n,p_prime_death,iterations,bracket_lo,bracket_hi
+state1,0.25,X,F01,0.3,0.21890625,5,0.21,0.22
+""",
+    ("boundary", "--family", "state1", "--x", "0.1"): """\
+family,x,op_a,op_b,p_n,p_prime_death,iterations,bracket_lo,bracket_hi
+state1,0.1,I,I,0,,100,,
+""",
 }
 
 
-@pytest.mark.parametrize("argv", list(PINNED_CSV), ids=["surface-twoqutrit", "evolve-state2"])
+@pytest.mark.parametrize(
+    "argv",
+    list(PINNED_CSV),
+    ids=["surface-twoqutrit", "evolve-state2", "boundary-dying", "boundary-no-death"],
+)
 def test_pinned_csv_output(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == PINNED_CSV[argv]
+
+
+def test_evolve_memory_stays_bounded_on_a_fine_grid(tmp_path):
+    # 5,001 p' samples on 3x3: a single stack of the whole sweep peaks
+    # at about 33 MiB; stacks of EVOLVE_CHUNK samples at about 3.5 MiB
+    argv = ["evolve", "--family", "twoqutrit", "--op-a", "F01", "--pprime-step", "0.0002",
+            "--out", str(tmp_path / "evolve.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len((tmp_path / "evolve.csv").read_text().splitlines()) == 1 + 5001
+
+
+def test_bare_argv_takes_the_run_config_defaults():
+    args = build_parser().parse_args(["evolve"])
+    assert vars(args) == {"command": "evolve"}
+    assert RunConfig(**vars(args)) == RunConfig(command="evolve")
 
 
 def test_run_config_round_trip():

@@ -1,10 +1,10 @@
-import warnings
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esdlab.channels import default_model
-from esdlab.config import Tolerances
+from esdlab.config import DEFAULT, Tolerances
 from esdlab.dynamics import (
     Outcome,
     StageSchedule,
@@ -14,12 +14,13 @@ from esdlab.dynamics import (
     death_point,
     death_point_record,
     evolve_two_stage,
+    pprime_grid,
     regime_boundaries,
     state_after_flip,
     sweep_surface,
 )
 from esdlab.errors import DomainError
-from esdlab.luo import IDENTITY_OP, LocalUnitary
+from esdlab.luo import IDENTITY_OP, LocalUnitary, valid_ops
 from esdlab.measures import negativity, realigned_negativity
 from esdlab.states import FamilyId, StateFamily, build_state, separability_indicator
 
@@ -87,11 +88,25 @@ def test_already_dead_schedule_reports_zero():
     assert death_point(s) == 0.0
 
 
-def test_no_monotonicity_warning_for_these_families():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        death_point_record(sched(FAMILY1, LocalUnitary("X", "F01"), pn=0.3))
-        death_point_record(sched(FAMILY2, LocalUnitary("I", "F02"), pn=0.4))
+@st.composite
+def flip_schedules(draw):
+    family = draw(st.sampled_from([FAMILY1, FAMILY2, TWO_QUTRIT]))
+    op_a = draw(st.sampled_from(valid_ops(family.dims[0])))
+    op_b = draw(st.sampled_from(valid_ops(family.dims[1])))
+    return sched(family, LocalUnitary(op_a, op_b), pn=draw(st.floats(0.0, 0.99)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(flip_schedules())
+@example(sched(FAMILY1, LocalUnitary("X", "F01"), pn=0.3))
+@example(sched(FAMILY2, LocalUnitary("I", "F02"), pn=0.4))
+def test_negativity_never_revives_along_pprime(s):
+    """death_point_record takes the first vanishing grid sample as the
+    death and checks nothing past it; that rests on this property."""
+    values = negativity(evolve_two_stage(s, pprime_grid(DEFAULT)))
+    assert np.all(np.diff(values) <= 1e-12)
+    dead = values <= DEFAULT.negativity_zero
+    assert np.all(dead[1:] >= dead[:-1])  # once dead, dead for good
 
 
 def test_avoidance_example_from_family1():
