@@ -4,11 +4,13 @@
 One line per command: the exit code, the SHA-256 of its stdout followed by
 its stderr, and the argv.  Run it on two versions of the code and diff the
 outputs; identical digests mean byte-identical output.  The set covers
-every command: the help texts; table1; scans on both 2x3 families, on a
-hasten-only, an avoid-and-delay-only and a 3x3 flip pair; surfaces on 2x3
-and 3x3 with one and two workers; evolve in CSV and JSON on all three
-families, and on a grid fine enough to take several stacks; 60 seeded
-boundary queries, one more at --tol 1e-9, and two configuration errors.
+every command: the help texts; table1 with one and two workers; scans on
+both 2x3 families, on a hasten-only, an avoid-and-delay-only and two 3x3
+flip pairs, at --tol 1e-9, and on a p_n grid fine enough to take several
+solver stacks; surfaces on 2x3 and 3x3 with one and two workers, and at
+--tol 1e-9; evolve in CSV and JSON on all three families, and on a grid
+fine enough to take several stacks; 60 seeded boundary queries, one more
+at --tol 1e-9, and two configuration errors.
 
     PYTHONPATH=src COLUMNS=80 python scripts/output_digest.py
 
@@ -30,11 +32,18 @@ def commands() -> list[list[str]]:
     cmds = [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]
     cmds += [
         ["table1"],
+        ["table1", "--workers", "2"],
         ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F01"],
         ["scan", "--family", "state2", "--op-a", "I", "--op-b", "F02"],
         ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F02"],
         ["scan", "--family", "state1", "--op-a", "I", "--op-b", "F01"],
         ["scan", "--family", "twoqutrit", "--op-a", "F01", "--op-b", "I"],
+        ["scan", "--family", "twoqutrit", "--op-a", "F01", "--op-b", "F01", "--workers", "2"],
+        ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F01", "--tol", "1e-9",
+         "--pn-step", "0.05"],
+        ["scan", "--family", "state2", "--op-a", "X", "--op-b", "F102", "--pn-step", "0.003"],
+        ["surface", "--family", "state2", "--op-a", "X", "--op-b", "F201", "--grid", "9",
+         "--tol", "1e-9"],
     ]
     for family, op_a, op_b in (("state1", "X", "F01"), ("twoqutrit", "F01", "F02")):
         for workers in ("1", "2"):

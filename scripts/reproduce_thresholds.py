@@ -74,8 +74,8 @@ def main() -> None:
     if not args.skip_table:
         print("== classification table (flip pair: state1 / state2) ==")
         for op_a, op_b in TABLE1_OPS:
-            c1 = table1_cell(("state1", 0.25, op_a, op_b))
-            c2 = table1_cell(("state2", 0.5, op_a, op_b))
+            c1 = table1_cell("state1", 0.25, op_a, op_b)
+            c2 = table1_cell("state2", 0.5, op_a, op_b)
             print(f"  {op_a}*{op_b:<5s}  {c1:15s} / {c2}")
 
     print(f"done in {time.time() - t0:.1f}s")

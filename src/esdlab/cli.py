@@ -3,13 +3,15 @@
 Commands: evolve | boundary | scan | table1 | surface.  Exit codes:
 0 success, 2 configuration error, 3 numeric failure (LAPACK raised
 numpy.linalg.LinAlgError).  Environment variables are never consulted;
-identical configurations produce byte-identical output regardless of
-worker count.
+identical configurations produce byte-identical output.  Every command
+runs in this one process: ``--workers`` is accepted, validated and
+echoed in JSON for compatibility, but has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass
 
@@ -19,9 +21,10 @@ from . import io
 from .channels import DecayModel, default_model
 from .config import Tolerances
 from .dynamics import (
+    STACK_LIMIT,
     TABLE1_OPS,
     StageSchedule,
-    classify,
+    classify_all,
     damp,
     death_point_record,
     pprime_grid,
@@ -36,10 +39,6 @@ from .measures import negativity, realigned_negativity
 from .states import FamilyId, StateFamily
 
 DEFAULT_X = {FamilyId.STATE1: 0.25, FamilyId.STATE2: 0.5, FamilyId.TWO_QUTRIT: 0.25}
-
-# p' samples damped and measured per stack in ``evolve``: its memory stays
-# bounded whatever the --pprime-step
-EVOLVE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -139,15 +138,6 @@ class ResolvedRun:
         return doc
 
 
-def _parallel_map(fn, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    # imported here: it pulls in multiprocessing, socket and logging
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -158,8 +148,8 @@ def cmd_evolve(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     pps = pprime_grid(run.tolerances)
     flipped = state_after_flip(StageSchedule(run.family, run.model, run.op, run.config.pn))
     rows = []
-    for start in range(0, len(pps), EVOLVE_CHUNK):
-        chunk = pps[start:start + EVOLVE_CHUNK]
+    for start in range(0, len(pps), STACK_LIMIT):
+        chunk = pps[start:start + STACK_LIMIT]
         rho = damp(flipped, run.model, chunk)
         columns = [chunk, negativity(rho, run.tolerances)]
         if run.is_two_qutrit:
@@ -190,21 +180,19 @@ def cmd_boundary(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     return header, [row], {}
 
 
-def _scan_row(job):
-    run, pn = job
-    verdict = classify(StageSchedule(run.family, run.model, run.op, pn), run.tolerances)
-    return {
-        "p_n": io.round9(pn),
-        "verdict": verdict.outcome.value,
-        "baseline_death": io.round9(verdict.baseline_death),
-        "manipulated_death": io.round9(verdict.manipulated_death),
-    }
-
-
 def cmd_scan(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     bounds = regime_boundaries(run.family, run.model, run.op, run.tolerances)
     pns = [float(p) for p in np.arange(0.0, bounds.baseline_death, run.config.pn_step)]
-    rows = _parallel_map(_scan_row, [(run, pn) for pn in pns], run.config.workers)
+    scheds = [StageSchedule(run.family, run.model, run.op, pn) for pn in pns]
+    rows = [
+        {
+            "p_n": io.round9(verdict.p_n),
+            "verdict": verdict.outcome.value,
+            "baseline_death": io.round9(verdict.baseline_death),
+            "manipulated_death": io.round9(verdict.manipulated_death),
+        }
+        for verdict in classify_all(scheds, run.tolerances)
+    ]
     summary = {
         "avoid_end": io.round9(bounds.avoid_end),
         "delay_end": io.round9(bounds.delay_end),
@@ -223,33 +211,20 @@ def cmd_scan(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
 
 
 def cmd_table1(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
-    families = [("state1", 0.25), ("state2", 0.5)]
-    jobs = [
-        (fam, x, op_a, op_b)
+    rows = [
+        {
+            "operation": f"{op_a}*{op_b}",
+            "state1": table1_cell("state1", 0.25, op_a, op_b),
+            "state2": table1_cell("state2", 0.5, op_a, op_b),
+        }
         for op_a, op_b in TABLE1_OPS
-        for fam, x in families
     ]
-    cells = _parallel_map(table1_cell, jobs, run.config.workers)
-    rows = []
-    for i, (op_a, op_b) in enumerate(TABLE1_OPS):
-        rows.append(
-            {
-                "operation": f"{op_a}*{op_b}",
-                "state1": cells[2 * i],
-                "state2": cells[2 * i + 1],
-            }
-        )
     return ["operation", "state1", "state2"], rows, {}
 
 
 def cmd_surface(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     samples, locus = sweep_surface(
-        run.family,
-        run.model,
-        run.op,
-        grid=run.config.grid,
-        tol=run.tolerances,
-        map_fn=lambda fn, jobs: _parallel_map(fn, list(jobs), run.config.workers),
+        run.family, run.model, run.op, grid=run.config.grid, tol=run.tolerances
     )
     rows = [
         {
@@ -274,6 +249,7 @@ def _emit(run: ResolvedRun, header: list[str], rows: list[dict], extra: dict) ->
     return io.csv_lines(header, [[row.get(col) for col in header] for row in rows])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esdlab",

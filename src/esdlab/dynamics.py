@@ -6,14 +6,13 @@ With the identity flip the pipeline is the uninterrupted two-stage
 evolution, which serves as the comparison baseline (the "red curve"):
 both curves are parameterized by the shared abscissa p_n.
 
-Death points are located by scanning the p' grid (``pprime_grid``) for
-the first sample where negativity vanishes and bisecting the step before
-it; regime boundaries bisect over p_n and ``critical_x`` over x, all with
-the one ``_bisect``.  Nothing is checked past a death point: local CPTP
-maps cannot create entanglement (Peres 1996), and a stronger damping
-stage equals a weaker one followed by a valid local increment, so once
-negativity vanishes along p' it stays zero.  A p' sweep builds
-``state_after_flip`` once and ``damp``s it as one stack.
+Local CPTP maps cannot create entanglement (Peres 1996), and a stronger
+damping stage equals a weaker one followed by a valid local increment,
+so negativity never revives along p': one evaluation at the cap tells
+whether a schedule dies (``dies``).  ``death_point_records`` solves many
+schedules as one stack: each scans the p' grid to its first vanishing
+sample, and the steps before those are bisected together.  Regime
+boundaries over p_n and ``critical_x`` over x use the same ``_bisect``.
 """
 
 from __future__ import annotations
@@ -98,53 +97,85 @@ class DeathRecord:
     bracket: tuple[float, float] | None
 
 
+# schedules solved per stack, and p' samples per stack in ``evolve``: the
+# memory stays bounded whatever the number of schedules or samples
+STACK_LIMIT = 256
+
+
 def pprime_grid(tol: Tolerances) -> np.ndarray:
     """The p' samples: 0 to ``tol.death_cap`` in steps of
     ``tol.pprime_grid_step``, with the cap itself as the last sample."""
     return np.append(np.arange(0.0, tol.death_cap, tol.pprime_grid_step), tol.death_cap)
 
 
-def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, int]:
-    """Halve [lo, hi] until it is no wider than tol, keeping pred false at
-    lo and true at hi.  Returns the final midpoint and the step count."""
-    steps = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-        steps += 1
-    return 0.5 * (lo + hi), steps
+def _bisect(pred, lo, hi, tol: float) -> tuple[list[float], list[int]]:
+    """Halve each bracket [lo_i, hi_i] until it is no wider than tol,
+    keeping pred false at lo and true at hi.  ``pred(wide, mid)`` judges
+    the midpoint list ``mid`` of the brackets that the mask ``wide`` marks
+    as still wider.  Returns the final midpoints and the step counts."""
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    steps = np.zeros(lo.shape, dtype=int)
+    while (wide := hi - lo > tol).any():
+        mid = 0.5 * (lo[wide] + hi[wide])
+        true = np.asarray(pred(wide, mid.tolist()), dtype=bool)
+        hi[wide] = np.where(true, mid, hi[wide])
+        lo[wide] = np.where(true, lo[wide], mid)
+        steps[wide] += 1
+    return (0.5 * (lo + hi)).tolist(), steps.tolist()
+
+
+def dies(s: StageSchedule, tol: Tolerances = DEFAULT) -> bool:
+    """Whether negativity vanishes by p' = ``tol.death_cap``: one evaluation."""
+    return bool(negativity(evolve_two_stage(s, tol.death_cap), tol=tol) <= tol.negativity_zero)
+
+
+def death_point_records(scheds: list, tol: Tolerances = DEFAULT) -> list[DeathRecord]:
+    """Locate the smallest p' where negativity vanishes, with solver
+    detail, for schedules that share one decay model and dimensions.
+
+    Stacks of up to ``STACK_LIMIT`` schedules are solved in lockstep.  A
+    schedule alive at ``tol.death_cap`` never dies (p_prime=None).  The
+    others walk ``pprime_grid(tol)``, one stacked evaluation per sample,
+    to their first vanishing sample; the steps before those are bisected
+    together down to ``tol.bisection``, and ``bracket`` is that step.
+    """
+    if not 0 < len(scheds) <= STACK_LIMIT:  # one stack each, none when empty
+        return [r for start in range(0, len(scheds), STACK_LIMIT)
+                for r in death_point_records(scheds[start:start + STACK_LIMIT], tol)]
+    model, dims = scheds[0].model, scheds[0].family.dims
+    if any(s.model != model or s.family.dims != dims for s in scheds):
+        raise DomainError("schedules solved together must share a decay model and dimensions")
+    states = np.stack([state_after_flip(s).matrix for s in scheds])
+    sub = lambda idx: DensityMatrix(*dims, states[idx])
+    dead = lambda rho, pp: negativity(damp(rho, model, pp), tol=tol) <= tol.negativity_zero
+
+    grid = pprime_grid(tol)
+    first = np.full(len(scheds), -1)  # index of each schedule's first dead sample
+    walking = np.flatnonzero(dead(sub(slice(None)), grid[-1]))
+    first[walking] = len(grid) - 1
+    rho = sub(walking)
+    for k, pp in enumerate(grid[:-1]):
+        if not walking.size:
+            break
+        now = dead(rho, pp)
+        if now.any():  # the stack is rebuilt only when it shrinks
+            first[walking[now]] = k
+            walking = walking[~now]
+            rho = sub(walking)
+
+    # dead at p' = 0: the empty bracket (0, 0) bisects to 0 in no steps
+    dying = np.flatnonzero(first >= 0)
+    lo, hi = grid[np.maximum(first[dying] - 1, 0)], grid[first[dying]]
+    deaths, steps = _bisect(lambda wide, mid: dead(sub(dying[wide]), mid), lo, hi, tol.bisection)
+    records = [DeathRecord(p_prime=None, iterations=len(grid) - 1, bracket=None)] * len(scheds)
+    for i, death, count, a, b in zip(dying.tolist(), deaths, steps, lo.tolist(), hi.tolist()):
+        records[i] = DeathRecord(p_prime=death, iterations=count, bracket=(a, b))
+    return records
 
 
 def death_point_record(s: StageSchedule, tol: Tolerances = DEFAULT) -> DeathRecord:
-    """Locate the smallest p' where negativity vanishes, with solver detail.
-
-    Scans ``pprime_grid(tol)`` for the first sample at or below the zero
-    threshold, then bisects the step before it down to ``tol.bisection``;
-    ``bracket`` is that step.  Returns p_prime=None when negativity stays
-    above the threshold on the whole grid (asymptotic decay / avoidance).
-    Nothing past the death point is checked: negativity cannot revive
-    along p', since a stronger damping stage equals a weaker one
-    followed by a local CPTP increment, and local CPTP maps preserve a
-    positive partial transpose.
-    """
-    zero = tol.negativity_zero
-    flipped = state_after_flip(s)
-    dead = lambda pp: negativity(damp(flipped, s.model, pp), tol=tol) <= zero
-    if dead(0.0):
-        return DeathRecord(p_prime=0.0, iterations=0, bracket=(0.0, 0.0))
-
-    grid = pprime_grid(tol)
-    lo = 0.0
-    for pp in grid[1:]:
-        hi = float(pp)
-        if dead(hi):
-            death, iterations = _bisect(dead, lo, hi, tol.bisection)
-            return DeathRecord(p_prime=death, iterations=iterations, bracket=(lo, hi))
-        lo = hi
-    return DeathRecord(p_prime=None, iterations=len(grid) - 1, bracket=None)
+    """``death_point_records`` of one schedule."""
+    return death_point_records([s], tol)[0]
 
 
 def death_point(s: StageSchedule, tol: Tolerances = DEFAULT) -> float | None:
@@ -153,29 +184,38 @@ def death_point(s: StageSchedule, tol: Tolerances = DEFAULT) -> float | None:
     return death_point_record(s, tol).p_prime
 
 
-def classify(s: StageSchedule, tol: Tolerances = DEFAULT) -> ClassificationVerdict:
-    """Compare the manipulated death point against the uninterrupted
-    baseline at the same p_n split.
+def classify_all(scheds: list, tol: Tolerances = DEFAULT) -> list[ClassificationVerdict]:
+    """Compare each manipulated death point against the uninterrupted
+    baseline at the same p_n split, all solved as one batch.
 
     Avoid: manipulated never dies while the baseline does.  Delay /
     Hasten: both die, later / earlier than baseline by more than the
     solver tolerance.  Unchanged covers ties (in particular the identity
     flip, where both curves coincide).
     """
-    baseline = death_point(s.baseline(), tol)
-    if baseline is None:
-        return ClassificationVerdict(s.p_n, Outcome.NO_BASELINE_DEATH, None, None)
-    # the identity flip leaves the baseline pipeline unchanged
-    manipulated = baseline if s.op.is_identity else death_point(s, tol)
-    if manipulated is None:
-        return ClassificationVerdict(s.p_n, Outcome.AVOID, baseline, None)
-    if manipulated > baseline + tol.bisection:
-        outcome = Outcome.DELAY
-    elif manipulated < baseline - tol.bisection:
-        outcome = Outcome.HASTEN
-    else:
-        outcome = Outcome.UNCHANGED
-    return ClassificationVerdict(s.p_n, outcome, baseline, manipulated)
+    # an identity flip is its own baseline, so it is solved once
+    unique = list(dict.fromkeys([s.baseline() for s in scheds] + list(scheds)))
+    deaths = dict(zip(unique, (r.p_prime for r in death_point_records(unique, tol))))
+    verdicts = []
+    for s in scheds:
+        baseline, death = deaths[s.baseline()], deaths[s]
+        if baseline is None:
+            outcome, death = Outcome.NO_BASELINE_DEATH, None
+        elif death is None:
+            outcome = Outcome.AVOID
+        elif death > baseline + tol.bisection:
+            outcome = Outcome.DELAY
+        elif death < baseline - tol.bisection:
+            outcome = Outcome.HASTEN
+        else:
+            outcome = Outcome.UNCHANGED
+        verdicts.append(ClassificationVerdict(s.p_n, outcome, baseline, death))
+    return verdicts
+
+
+def classify(s: StageSchedule, tol: Tolerances = DEFAULT) -> ClassificationVerdict:
+    """``classify_all`` of one schedule."""
+    return classify_all([s], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -191,14 +231,6 @@ class RegimeBoundaries:
     has_hasten: bool
 
 
-def _dies_no_later(s: StageSchedule, tol: Tolerances) -> bool:
-    manipulated = death_point(s, tol)
-    if manipulated is None:
-        return False
-    baseline = death_point(s.baseline(), tol)
-    return baseline is None or manipulated <= baseline
-
-
 def regime_boundaries(
     family: StateFamily,
     model: DecayModel,
@@ -207,8 +239,12 @@ def regime_boundaries(
 ) -> RegimeBoundaries:
     """Bisect over p_n for the ends of the Avoid and Delay intervals."""
     sched = lambda pn: StageSchedule(family, model, op, pn)
-    dies = lambda pn: death_point(sched(pn), tol) is not None
-    no_later = lambda pn: _dies_no_later(sched(pn), tol)
+
+    def no_later(pn: float) -> bool:
+        s = sched(pn)
+        manipulated, baseline = (r.p_prime for r in death_point_records([s, s.baseline()], tol))
+        return manipulated is not None and (baseline is None or manipulated <= baseline)
+
     d0 = death_point(sched(0.0).baseline(), tol)
     if d0 is None:
         raise DomainError("family does not undergo baseline sudden death")
@@ -217,10 +253,10 @@ def regime_boundaries(
         return RegimeBoundaries(0.0, d0, d0, has_hasten=False)
 
     # largest p_n whose verdict is Avoid
-    if dies(0.0):
+    if dies(sched(0.0), tol):
         avoid_end = 0.0
     else:
-        avoid_end, _ = _bisect(dies, 0.0, d0, tol.bisection)
+        [avoid_end], _ = _bisect(lambda _, m: dies(sched(m[0]), tol), 0.0, d0, tol.bisection)
 
     # supremum of the Delay interval; equals baseline death when the
     # manipulated curve never dips below the baseline
@@ -230,7 +266,7 @@ def regime_boundaries(
     if avoid_end == 0.0 and no_later(tol.bisection / 2.0):
         # hasten-only flip: no avoidance, no delay anywhere
         return RegimeBoundaries(0.0, 0.0, d0, has_hasten=True)
-    delay_end, _ = _bisect(no_later, avoid_end, probe, tol.bisection)
+    [delay_end], _ = _bisect(lambda _, m: no_later(m[0]), avoid_end, probe, tol.bisection)
     return RegimeBoundaries(avoid_end, delay_end, d0, has_hasten=True)
 
 
@@ -248,11 +284,10 @@ TABLE1_OPS = [
 ]
 
 
-def table1_cell(job: tuple[str, float, str, str]) -> str:
+def table1_cell(family_value: str, x: float, op_a: str, op_b: str) -> str:
     """Classification pattern of one table cell, e.g. "A, D, and H" or
-    "only H", for the job (family value, x, op_a, op_b) under the
-    family's default decay model and default tolerances."""
-    family_value, x, op_a, op_b = job
+    "only H", for the family (by value) at x and the flip pair (op_a,
+    op_b), under the family's default decay model and default tolerances."""
     family = StateFamily(FamilyId(family_value), x)
     op = LocalUnitary(op_a, op_b)
     bounds = regime_boundaries(family, default_model(family.dims), op, DEFAULT)
@@ -286,15 +321,12 @@ def critical_x(
     else:
         lo, hi = 0.0, 1.0 / 3.0 - 1e-9
 
-    def dies(x: float) -> bool:
-        s = StageSchedule(StateFamily(family_id, x), model)
-        return death_point(s, tol) is not None
-
-    if dies(lo):
+    dies_at = lambda x: dies(StageSchedule(StateFamily(family_id, x), model), tol)
+    if dies_at(lo):
         return None  # dies everywhere on the range
-    if not dies(hi):
+    if not dies_at(hi):
         raise DomainError("family never undergoes sudden death on its range")
-    x, _ = _bisect(dies, lo, hi, tol.bisection)
+    [x], _ = _bisect(lambda _, m: dies_at(m[0]), lo, hi, tol.bisection)
     return x
 
 
@@ -304,26 +336,18 @@ def sweep_surface(
     op: LocalUnitary = IDENTITY_OP,
     grid: int = 21,
     tol: Tolerances = DEFAULT,
-    map_fn=map,
 ) -> tuple[list[tuple[float, float, float]], BoundaryCurve]:
     """Rectangular negativity samples over (p_n, p') plus the per-column
-    death locus.  Columns are independent work items; ``map_fn`` may fan
-    them out, results are reassembled in grid order."""
+    death locus.  Each column's samples are one stacked p' sweep, and the
+    column deaths are one ``death_point_records`` call."""
     if grid < 2:
         raise DomainError(f"grid must be at least 2 per axis, got {grid}")
     axis = np.linspace(0.0, tol.death_cap, grid)
-    jobs = [(family, model, op, float(pn), tuple(float(v) for v in axis), tol) for pn in axis]
-    columns = list(map_fn(_surface_column, jobs))
+    columns = [StageSchedule(family, model, op, pn) for pn in axis.tolist()]
+    deaths = death_point_records(columns, tol)
     rows: list[tuple[float, float, float]] = []
-    locus = []
-    for col, (pn, values, death) in zip(jobs, columns):
-        rows.extend((col[3], pp, nv) for pp, nv in zip(col[4], values))
-        locus.append((pn, death))
-    return rows, BoundaryCurve(samples=tuple(locus))
-
-
-def _surface_column(job):
-    family, model, op, pn, pps, tol = job
-    s = StageSchedule(family, model, op, pn)
-    values = negativity(damp(state_after_flip(s), model, np.array(pps)), tol=tol).tolist()
-    return pn, values, death_point(s, tol)
+    for s in columns:
+        values = negativity(damp(state_after_flip(s), model, axis), tol=tol)
+        rows.extend((s.p_n, pp, nv) for pp, nv in zip(axis.tolist(), values.tolist()))
+    locus = tuple((s.p_n, record.p_prime) for s, record in zip(columns, deaths))
+    return rows, BoundaryCurve(samples=locus)

@@ -165,8 +165,8 @@ TABLE1_EXPECTED = {
 def test_criterion_4_classification_table():
     mismatches = []
     for op_a, op_b in TABLE1_OPS:
-        got1 = table1_cell(("state1", 0.25, op_a, op_b))
-        got2 = table1_cell(("state2", 0.5, op_a, op_b))
+        got1 = table1_cell("state1", 0.25, op_a, op_b)
+        got2 = table1_cell("state2", 0.5, op_a, op_b)
         exp1, exp2 = TABLE1_EXPECTED[(op_a, op_b)]
         if got1 != exp1:
             mismatches.append((op_a, op_b, "state1", got1, exp1))
@@ -175,7 +175,7 @@ def test_criterion_4_classification_table():
     # the cycle flips must land in the same class as the swap flip
     for fam, x in (("state1", 0.25), ("state2", 0.5)):
         for op_a in ("X", "I"):
-            if table1_cell((fam, x, op_a, "F102")) != table1_cell((fam, x, op_a, "F01")):
+            if table1_cell(fam, x, op_a, "F102") != table1_cell(fam, x, op_a, "F01"):
                 mismatches.append((op_a, "F102-vs-F01", fam))
     check("4", "all 18 table cells and the F102/F01 equivalences",
           not mismatches, f"mismatches: {mismatches}")

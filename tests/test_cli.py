@@ -211,7 +211,7 @@ def test_pinned_csv_output(capsys, argv):
 
 def test_evolve_memory_stays_bounded_on_a_fine_grid(tmp_path):
     # 5,001 p' samples on 3x3: a single stack of the whole sweep peaks
-    # at about 33 MiB; stacks of EVOLVE_CHUNK samples at about 3.5 MiB
+    # at about 33 MiB; stacks of STACK_LIMIT samples at about 3.5 MiB
     argv = ["evolve", "--family", "twoqutrit", "--op-a", "F01", "--pprime-step", "0.0002",
             "--out", str(tmp_path / "evolve.csv")]
     tracemalloc.start()
@@ -222,6 +222,21 @@ def test_evolve_memory_stays_bounded_on_a_fine_grid(tmp_path):
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert len((tmp_path / "evolve.csv").read_text().splitlines()) == 1 + 5001
+
+
+def test_scan_memory_stays_bounded_on_a_fine_pn_grid(tmp_path):
+    # 800 p_n rows, 1,600 death points: one stack of them all peaks
+    # at about 14 MiB; stacks of STACK_LIMIT schedules at about 3.2 MiB
+    argv = ["scan", "--family", "twoqutrit", "--op-a", "F01", "--op-b", "I",
+            "--pn-step", "0.0005", "--out", str(tmp_path / "scan.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert len((tmp_path / "scan.csv").read_text().splitlines()) == 1 + 801
 
 
 def test_bare_argv_takes_the_run_config_defaults():

@@ -6,13 +6,17 @@ from hypothesis import strategies as st
 from esdlab.channels import default_model
 from esdlab.config import DEFAULT, Tolerances
 from esdlab.dynamics import (
+    STACK_LIMIT,
     Outcome,
     StageSchedule,
     classify,
+    classify_all,
     critical_x,
     damp,
     death_point,
     death_point_record,
+    death_point_records,
+    dies,
     evolve_two_stage,
     pprime_grid,
     regime_boundaries,
@@ -101,12 +105,84 @@ def flip_schedules(draw):
 @example(sched(FAMILY1, LocalUnitary("X", "F01"), pn=0.3))
 @example(sched(FAMILY2, LocalUnitary("I", "F02"), pn=0.4))
 def test_negativity_never_revives_along_pprime(s):
-    """death_point_record takes the first vanishing grid sample as the
-    death and checks nothing past it; that rests on this property."""
+    """death_point_records takes the first vanishing grid sample as the
+    death and checks nothing past it, and ``dies`` looks only at the cap;
+    both rest on this property."""
     values = negativity(evolve_two_stage(s, pprime_grid(DEFAULT)))
     assert np.all(np.diff(values) <= 1e-12)
     dead = values <= DEFAULT.negativity_zero
     assert np.all(dead[1:] >= dead[:-1])  # once dead, dead for good
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    flip_schedules()
+    | st.floats(0.2095, 0.2107).map(lambda x: sched(StateFamily(FamilyId.STATE1, x)))
+)
+@example(sched(StateFamily(FamilyId.STATE1, 0.2101)))
+@example(sched(StateFamily(FamilyId.STATE1, 0.2102)))
+def test_one_evaluation_at_the_cap_decides_whether_a_schedule_dies(s):
+    # state1 x near 0.2101 sits at the onset of finite-time death, where
+    # the death point nears the cap
+    assert dies(s) == (death_point(s) is not None)
+
+
+def lockstep_batch():
+    """More than one stack of 2x3 schedules: deaths at p' = 0 (state2 past
+    its death at p_n = 0.85), deaths on the grid, and schedules that never
+    die (state1 at x = 0.1, and flips that avoid death)."""
+    ops = [LocalUnitary(a, b) for a in valid_ops(2) for b in valid_ops(3)]
+    families = [FAMILY1, FAMILY2, StateFamily(FamilyId.STATE1, 0.1)]
+    pns = np.linspace(0.0, 0.85, 10).tolist()
+    return [sched(f, op, pn) for f in families for op in ops for pn in pns]
+
+
+def scalar_record(s, tol):
+    """Reference solver, one schedule and one p' at a time: the first
+    vanishing sample of the p' grid, then plain bisection of the step
+    before it.  Returns (p_prime, iterations, bracket)."""
+    flipped = state_after_flip(s)
+    dead = lambda pp: negativity(damp(flipped, s.model, pp), tol=tol) <= tol.negativity_zero
+    if dead(0.0):
+        return 0.0, 0, (0.0, 0.0)
+    grid = pprime_grid(tol).tolist()
+    for lo, hi in zip(grid, grid[1:]):
+        if dead(hi):
+            a, b, steps = lo, hi, 0
+            while b - a > tol.bisection:
+                mid = 0.5 * (a + b)
+                a, b = (a, mid) if dead(mid) else (mid, b)
+                steps += 1
+            return 0.5 * (a + b), steps, (lo, hi)
+    return None, len(grid) - 1, None
+
+
+@pytest.mark.parametrize("tol", [DEFAULT, Tolerances(bisection=1e-9)], ids=["default", "fine"])
+def test_lockstep_records_equal_one_schedule_at_a_time(tol):
+    batch = lockstep_batch()
+    records = death_point_records(batch, tol)
+    deaths = [r.p_prime for r in records]
+    assert len(batch) > STACK_LIMIT
+    assert deaths.count(0.0) and deaths.count(None)
+    assert sum(d not in (0.0, None) for d in deaths) > 100
+    for s, record in zip(batch, records):
+        single = death_point_record(s, tol)
+        fields = (record.p_prime, record.iterations, record.bracket)
+        assert fields == (single.p_prime, single.iterations, single.bracket), s
+        assert fields == scalar_record(s, tol), s
+
+
+def test_lockstep_classification_equals_one_schedule_at_a_time():
+    batch = lockstep_batch()
+    assert classify_all(batch) == [classify(s) for s in batch]
+
+
+def test_one_stack_needs_one_decay_model_and_dims():
+    with pytest.raises(DomainError):
+        death_point_records([sched(FAMILY1), sched(FAMILY1, model=M33)])
+    with pytest.raises(DomainError):
+        death_point_records([sched(FAMILY1), sched(TWO_QUTRIT, model=M23)])
+    assert death_point_records([]) == [] and classify_all([]) == []
 
 
 def test_avoidance_example_from_family1():
