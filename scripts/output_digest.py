@@ -7,10 +7,13 @@ outputs; identical digests mean byte-identical output.  The set covers
 every command: the help texts; table1 with one and two workers; scans on
 both 2x3 families, on a hasten-only, an avoid-and-delay-only and two 3x3
 flip pairs, at --tol 1e-9, and on a p_n grid fine enough to take several
-solver stacks; surfaces on 2x3 and 3x3 with one and two workers, and at
---tol 1e-9; evolve in CSV and JSON on all three families, and on a grid
-fine enough to take several stacks; 60 seeded boundary queries, one more
-at --tol 1e-9, and two configuration errors.
+solver stacks, and at --zero-threshold 1e-9; surfaces on 2x3 and 3x3
+with one and two workers, and at --tol 1e-9; evolve in CSV and JSON on
+all three families, on a grid fine enough to take several stacks, on
+state1 with F02 (whose negativity prints as rounding noise, not zero),
+and with --ratio-a/--ratio-b; 60 seeded boundary queries, one more at
+--tol 1e-9, one at --zero-threshold 1e-9, one with --ratio-a/--ratio-b,
+and two configuration errors.
 
     PYTHONPATH=src COLUMNS=80 python scripts/output_digest.py
 
@@ -42,6 +45,7 @@ def commands() -> list[list[str]]:
         ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F01", "--tol", "1e-9",
          "--pn-step", "0.05"],
         ["scan", "--family", "state2", "--op-a", "X", "--op-b", "F102", "--pn-step", "0.003"],
+        ["scan", "--family", "state1", "--op-a", "X", "--op-b", "F01", "--zero-threshold", "1e-9"],
         ["surface", "--family", "state2", "--op-a", "X", "--op-b", "F201", "--grid", "9",
          "--tol", "1e-9"],
     ]
@@ -57,6 +61,9 @@ def commands() -> list[list[str]]:
     fine = ["evolve", "--family", "state1", "--op-a", "X", "--op-b", "F01", "--pn", "0.1",
             "--pprime-step", "0.0003"]
     cmds += [fine, fine + ["--format", "json", "--debug-matrices"]]
+    cmds.append(["evolve", "--family", "state1", "--x", "0.25", "--op-b", "F02"])
+    cmds.append(["evolve", "--family", "state2", "--op-a", "X", "--op-b", "F01", "--pn", "0.1",
+                 "--ratio-a", "0.7", "--ratio-b", "0.4"])
     rng = random.Random(20201)
     for i in range(60):
         family = "state1" if i % 2 else "state2"
@@ -66,6 +73,10 @@ def commands() -> list[list[str]]:
                      "--pn", f"{rng.uniform(0.0, 0.5):.6f}"])
     cmds.append(["boundary", "--family", "state1", "--op-a", "X", "--op-b", "F01",
                  "--pn", "0.3", "--tol", "1e-9"])
+    cmds.append(["boundary", "--family", "state1", "--op-a", "X", "--op-b", "F01",
+                 "--pn", "0.3", "--zero-threshold", "1e-9"])
+    cmds.append(["boundary", "--family", "state2", "--op-a", "X", "--op-b", "F201",
+                 "--pn", "0.2", "--ratio-a", "0.7", "--ratio-b", "0.4"])
     cmds.append(["boundary", "--family", "state1", "--x", "0.4"])
     cmds.append(["evolve", "--family", "twoqutrit", "--op-a", "X"])
     return cmds

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io
 from .channels import DecayModel, default_model
-from .config import Tolerances
+from .config import DEFAULT, Tolerances
 from .dynamics import (
     STACK_LIMIT,
     TABLE1_OPS,
@@ -52,9 +52,9 @@ class RunConfig:
     op_b: str = "I"
     pn: float = 0.0
     pn_step: float = 0.01
-    pprime_step: float = 0.01
-    tol: float = 5e-4
-    zero_threshold: float = 1e-12
+    pprime_step: float = DEFAULT.pprime_grid_step
+    tol: float = DEFAULT.bisection
+    zero_threshold: float = DEFAULT.negativity_zero
     format: str = "csv"
     out: str | None = None
     workers: int = 1
@@ -151,7 +151,7 @@ def cmd_evolve(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
     for start in range(0, len(pps), STACK_LIMIT):
         chunk = pps[start:start + STACK_LIMIT]
         rho = damp(flipped, run.model, chunk)
-        columns = [chunk, negativity(rho, run.tolerances)]
+        columns = [chunk, negativity(rho)]
         if run.is_two_qutrit:
             columns.append(realigned_negativity(rho))
         for values, m in zip(zip(*columns), rho.matrix):

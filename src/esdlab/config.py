@@ -1,7 +1,8 @@
-"""Central numeric tolerances.
+"""The numeric tolerances a run chooses.
 
-Every solver and every test reads thresholds from this one record so that
-root-finding accuracy, zero detection, and validation stay consistent.
+Each field is set by one CLI flag: ``--zero-threshold``, ``--tol`` and
+``--pprime-step``.  Fixed constants live with the code that uses them:
+the matrix validation limits in ``qla``, the p' cap in ``dynamics``.
 """
 
 from dataclasses import dataclass
@@ -9,15 +10,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # matrix validation
-    hermiticity: float = 1e-12
-    trace: float = 1e-12
-
-    # entanglement detection and root finding
     negativity_zero: float = 1e-12
     bisection: float = 5e-4
     pprime_grid_step: float = 0.01
-    death_cap: float = 1.0 - 1e-6
 
 
 DEFAULT = Tolerances()

@@ -100,12 +100,14 @@ class DeathRecord:
 # schedules solved per stack, and p' samples per stack in ``evolve``: the
 # memory stays bounded whatever the number of schedules or samples
 STACK_LIMIT = 256
+# the last p' sample and a surface's last p_n: entangled here means never dies
+DEATH_CAP = 1.0 - 1e-6
 
 
 def pprime_grid(tol: Tolerances) -> np.ndarray:
-    """The p' samples: 0 to ``tol.death_cap`` in steps of
+    """The p' samples: 0 to ``DEATH_CAP`` in steps of
     ``tol.pprime_grid_step``, with the cap itself as the last sample."""
-    return np.append(np.arange(0.0, tol.death_cap, tol.pprime_grid_step), tol.death_cap)
+    return np.append(np.arange(0.0, DEATH_CAP, tol.pprime_grid_step), DEATH_CAP)
 
 
 def _bisect(pred, lo, hi, tol: float) -> tuple[list[float], list[int]]:
@@ -125,8 +127,8 @@ def _bisect(pred, lo, hi, tol: float) -> tuple[list[float], list[int]]:
 
 
 def dies(s: StageSchedule, tol: Tolerances = DEFAULT) -> bool:
-    """Whether negativity vanishes by p' = ``tol.death_cap``: one evaluation."""
-    return bool(negativity(evolve_two_stage(s, tol.death_cap), tol=tol) <= tol.negativity_zero)
+    """Whether negativity vanishes by p' = ``DEATH_CAP``: one evaluation."""
+    return bool(negativity(evolve_two_stage(s, DEATH_CAP)) <= tol.negativity_zero)
 
 
 def death_point_records(scheds: list, tol: Tolerances = DEFAULT) -> list[DeathRecord]:
@@ -134,7 +136,7 @@ def death_point_records(scheds: list, tol: Tolerances = DEFAULT) -> list[DeathRe
     detail, for schedules that share one decay model and dimensions.
 
     Stacks of up to ``STACK_LIMIT`` schedules are solved in lockstep.  A
-    schedule alive at ``tol.death_cap`` never dies (p_prime=None).  The
+    schedule alive at ``DEATH_CAP`` never dies (p_prime=None).  The
     others walk ``pprime_grid(tol)``, one stacked evaluation per sample,
     to their first vanishing sample; the steps before those are bisected
     together down to ``tol.bisection``, and ``bracket`` is that step.
@@ -147,7 +149,7 @@ def death_point_records(scheds: list, tol: Tolerances = DEFAULT) -> list[DeathRe
         raise DomainError("schedules solved together must share a decay model and dimensions")
     states = np.stack([state_after_flip(s).matrix for s in scheds])
     sub = lambda idx: DensityMatrix(*dims, states[idx])
-    dead = lambda rho, pp: negativity(damp(rho, model, pp), tol=tol) <= tol.negativity_zero
+    dead = lambda rho, pp: negativity(damp(rho, model, pp)) <= tol.negativity_zero
 
     grid = pprime_grid(tol)
     first = np.full(len(scheds), -1)  # index of each schedule's first dead sample
@@ -334,7 +336,8 @@ def sweep_surface(
     family: StateFamily,
     model: DecayModel,
     op: LocalUnitary = IDENTITY_OP,
-    grid: int = 21,
+    *,
+    grid: int,
     tol: Tolerances = DEFAULT,
 ) -> tuple[list[tuple[float, float, float]], BoundaryCurve]:
     """Rectangular negativity samples over (p_n, p') plus the per-column
@@ -342,12 +345,12 @@ def sweep_surface(
     column deaths are one ``death_point_records`` call."""
     if grid < 2:
         raise DomainError(f"grid must be at least 2 per axis, got {grid}")
-    axis = np.linspace(0.0, tol.death_cap, grid)
+    axis = np.linspace(0.0, DEATH_CAP, grid)
     columns = [StageSchedule(family, model, op, pn) for pn in axis.tolist()]
     deaths = death_point_records(columns, tol)
     rows: list[tuple[float, float, float]] = []
     for s in columns:
-        values = negativity(damp(state_after_flip(s), model, axis), tol=tol)
+        values = negativity(damp(state_after_flip(s), model, axis))
         rows.extend((s.p_n, pp, nv) for pp, nv in zip(axis.tolist(), values.tolist()))
     locus = tuple((s.p_n, record.p_prime) for s, record in zip(columns, deaths))
     return rows, BoundaryCurve(samples=locus)

@@ -33,10 +33,10 @@ class EntanglementReading:
     verdict: Verdict
 
 
-def negativity(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> float | np.ndarray:
+def negativity(rho: DensityMatrix) -> float | np.ndarray:
     """Sum of |lambda| over the negative eigenvalues of the partial
     transpose.  The subsystem choice does not affect the value."""
-    w = qla.hermitian_eigenvalues(qla.partial_transpose(rho, "A"), tol=tol)
+    w = qla.hermitian_eigenvalues(qla.partial_transpose(rho, "A"))
     # the negatives lead the ascending spectrum: sum them left to right
     return -np.minimum(w, 0.0).cumsum(axis=-1)[..., -1] + 0.0  # avoid -0.0
 
@@ -48,7 +48,7 @@ def realigned_negativity(rho: DensityMatrix) -> float | np.ndarray:
 
 
 def assess(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> EntanglementReading:
-    neg = negativity(rho, tol=tol)
+    neg = negativity(rho)
     if (rho.dim_a, rho.dim_b) == (3, 3):
         realigned = realigned_negativity(rho)
         if neg > tol.negativity_zero or realigned > tol.negativity_zero:

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import NonHermitianInput, ShapeMismatch
+
+HERMITICITY = 1e-12  # largest Hermiticity defect accepted
+TRACE = 1e-12  # largest deviation of a state's trace from 1
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -35,7 +37,7 @@ def _check_stack(m: np.ndarray, shape: tuple[int, ...] | None = None) -> np.ndar
     return m
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending, from LAPACK.
 
     Indices are first reordered so that each decoupled block (connected
@@ -49,8 +51,8 @@ def hermitian_eigenvalues(m: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarra
     blocks, and one LAPACK call solves each matrix as a call on it alone.
     """
     m = _check_stack(m)
-    if (defect := hermiticity_defect(m)) > tol.hermiticity:
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {tol.hermiticity:.0e}")
+    if (defect := hermiticity_defect(m)) > HERMITICITY:
+        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY:.0e}")
     stack = m.reshape((-1,) + m.shape[-2:])
     n = m.shape[-1]
     linked = (stack != 0) | np.eye(n, dtype=bool)
@@ -97,11 +99,11 @@ class DensityMatrix:
         m = _check_stack(np.array(self.matrix, dtype=complex), (self.dim,) * 2)
         if not np.isfinite(m).all():
             raise ValueError("matrix contains NaN or Inf entries")
-        if (defect := hermiticity_defect(m)) > DEFAULT.hermiticity:
+        if (defect := hermiticity_defect(m)) > HERMITICITY:
             raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
         off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
-        if (off > DEFAULT.trace).any():
-            raise ValueError(f"trace is off 1 by {np.max(off):.3e}, over {DEFAULT.trace:.0e}")
+        if (off > TRACE).any():
+            raise ValueError(f"trace is off 1 by {np.max(off):.3e}, over {TRACE:.0e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -134,16 +136,12 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "A") -> np.ndarray:
     return partial_transpose_matrix(rho.matrix, rho.dim_a, rho.dim_b, subsystem)
 
 
-def realign_matrix(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+def realign(rho: DensityMatrix) -> np.ndarray:
     """Realignment R with R[(m,mu),(n,nu)] = rho[(m,n),(mu,nu)].
 
     Row index ranges over pairs of subsystem-A indices, column index over
     pairs of subsystem-B indices; the result has shape dim_a^2 x dim_b^2.
     """
-    m = _check_stack(m, (dim_a * dim_b,) * 2)
-    r = m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b)).swapaxes(-3, -2)
-    return r.reshape(m.shape[:-2] + (dim_a * dim_a, dim_b * dim_b)).copy()
-
-
-def realign(rho: DensityMatrix) -> np.ndarray:
-    return realign_matrix(rho.matrix, rho.dim_a, rho.dim_b)
+    a, b, m = rho.dim_a, rho.dim_b, rho.matrix
+    r = m.reshape(m.shape[:-2] + (a, b, a, b)).swapaxes(-3, -2)
+    return r.reshape(m.shape[:-2] + (a * a, b * b)).copy()

@@ -6,6 +6,7 @@ import pytest
 
 from esdlab import io
 from esdlab.cli import RunConfig, build_parser, main
+from esdlab.config import DEFAULT, Tolerances
 from esdlab.states import FamilyId, StateFamily, build_state
 
 
@@ -243,6 +244,10 @@ def test_bare_argv_takes_the_run_config_defaults():
     args = build_parser().parse_args(["evolve"])
     assert vars(args) == {"command": "evolve"}
     assert RunConfig(**vars(args)) == RunConfig(command="evolve")
+    # the flags' defaults are the default tolerances, stated once
+    assert RunConfig(command="evolve").validated().tolerances == DEFAULT
+    chosen = RunConfig(command="boundary", tol=1e-6, zero_threshold=1e-9, pprime_step=0.02)
+    assert chosen.validated().tolerances == Tolerances(1e-9, 1e-6, 0.02)
 
 
 def test_run_config_round_trip():

@@ -142,7 +142,7 @@ def scalar_record(s, tol):
     vanishing sample of the p' grid, then plain bisection of the step
     before it.  Returns (p_prime, iterations, bracket)."""
     flipped = state_after_flip(s)
-    dead = lambda pp: negativity(damp(flipped, s.model, pp), tol=tol) <= tol.negativity_zero
+    dead = lambda pp: negativity(damp(flipped, s.model, pp)) <= tol.negativity_zero
     if dead(0.0):
         return 0.0, 0, (0.0, 0.0)
     grid = pprime_grid(tol).tolist()

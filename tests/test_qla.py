@@ -47,6 +47,19 @@ def test_rejects_non_hermitian_input():
         qla.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("defect, accepted", [(5e-13, True), (2e-12, False)])
+def test_states_and_eigensolves_share_one_hermiticity_limit(defect, accepted):
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = defect  # the Hermiticity defect is |m01 - conj(m10)|
+    checks = (lambda: DensityMatrix(2, 2, m), lambda: qla.hermitian_eigenvalues(m))
+    for check in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(NonHermitianInput):
+                check()
+
+
 def test_rejects_non_square_input():
     with pytest.raises(ShapeMismatch):
         qla.hermitian_eigenvalues(np.zeros((2, 3), dtype=complex))
