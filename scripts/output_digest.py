@@ -10,10 +10,10 @@ flip pairs, at --tol 1e-9, and on a p_n grid fine enough to take several
 solver stacks, and at --zero-threshold 1e-9; surfaces on 2x3 and 3x3
 with one and two workers, and at --tol 1e-9; evolve in CSV and JSON on
 all three families, on a grid fine enough to take several stacks, on
-state1 with F02 (whose negativity prints as rounding noise, not zero),
-and with --ratio-a/--ratio-b; 60 seeded boundary queries, one more at
---tol 1e-9, one at --zero-threshold 1e-9, one with --ratio-a/--ratio-b,
-and two configuration errors.
+state1 with F02 (whose singular 2x2 block at p' = 0.5 prints an exact
+0, not rounding noise), and with --ratio-a/--ratio-b; 60 seeded
+boundary queries, one more at --tol 1e-9, one at --zero-threshold 1e-9,
+one with --ratio-a/--ratio-b, and two configuration errors.
 
     PYTHONPATH=src COLUMNS=80 python scripts/output_digest.py
 

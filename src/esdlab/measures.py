@@ -35,10 +35,32 @@ class EntanglementReading:
 
 def negativity(rho: DensityMatrix) -> float | np.ndarray:
     """Sum of |lambda| over the negative eigenvalues of the partial
-    transpose.  The subsystem choice does not affect the value."""
-    w = qla.hermitian_eigenvalues(qla.partial_transpose(rho, "A"))
-    # the negatives lead the ascending spectrum: sum them left to right
-    return -np.minimum(w, 0.0).cumsum(axis=-1)[..., -1] + 0.0  # avoid -0.0
+    transpose.  The subsystem choice does not affect the value.
+
+    A partial transpose with at most one off-diagonal entry per row and a
+    non-negative diagonal (every damped X-like state) has 2x2 blocks [[a,
+    c], [c*, b]]: lambda- = (ab - |c|^2)/lambda+ with lambda+ = (a+b)/2 +
+    hypot((a-b)/2, |c|) is free of cancellation and exactly 0 when the
+    block is singular.  Other matrices go to ``qla.hermitian_eigenvalues``.
+    """
+    pt = qla.partial_transpose(rho, "A")
+    n = pt.shape[-1]
+    stack = pt.reshape(-1, n, n)
+    a = stack.diagonal(axis1=-2, axis2=-1).real
+    off = np.abs(stack)
+    off.reshape(len(stack), n * n)[:, :: n + 1] = 0.0  # the diagonal
+    linked = off != 0  # symmetric up to entries below qla.HERMITICITY
+    blocked = ((linked.sum(-1) <= 1) & (a >= 0)).all(-1)
+    c = off.sum(-1)  # each row's one off-diagonal |c|
+    b = (linked @ a[..., None])[..., 0]  # the diagonal entry of each row's partner
+    two_plus = a + b + np.hypot(a - b, 2 * c)  # 2 lambda+
+    # both rows of a block hold its -lambda-/2; 1x1 blocks give 0
+    neg = (np.maximum(c * c - a * b, 0.0) / np.where(two_plus > 0, two_plus, 1.0)).sum(-1)
+    if not blocked.all():
+        w = qla.hermitian_eigenvalues(stack[~blocked])
+        # the negatives lead the ascending spectrum: sum them left to right
+        neg[~blocked] = -np.minimum(w, 0.0).cumsum(axis=-1)[:, -1]
+    return neg.reshape(pt.shape[:-2]) + 0.0  # avoid -0.0
 
 
 def realigned_negativity(rho: DensityMatrix) -> float | np.ndarray:
@@ -49,13 +71,10 @@ def realigned_negativity(rho: DensityMatrix) -> float | np.ndarray:
 
 def assess(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> EntanglementReading:
     neg = negativity(rho)
-    if (rho.dim_a, rho.dim_b) == (3, 3):
-        realigned = realigned_negativity(rho)
-        if neg > tol.negativity_zero or realigned > tol.negativity_zero:
-            verdict = Verdict.ENTANGLED
-        else:
-            verdict = Verdict.PPT_UNDETECTED
-        return EntanglementReading(neg, realigned, verdict)
-    if neg > tol.negativity_zero:
-        return EntanglementReading(neg, None, Verdict.ENTANGLED)
-    return EntanglementReading(neg, None, Verdict.SEPARABLE_2X3)
+    if (rho.dim_a, rho.dim_b) != (3, 3):
+        verdict = Verdict.ENTANGLED if neg > tol.negativity_zero else Verdict.SEPARABLE_2X3
+        return EntanglementReading(neg, None, verdict)
+    realigned = realigned_negativity(rho)
+    if max(neg, realigned) > tol.negativity_zero:
+        return EntanglementReading(neg, realigned, Verdict.ENTANGLED)
+    return EntanglementReading(neg, realigned, Verdict.PPT_UNDETECTED)

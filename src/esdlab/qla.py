@@ -9,7 +9,10 @@ nothing mutates its input.
 Every operation takes one matrix or a stack of matrices with one leading
 axis (a p' sweep), and returns one result per matrix of the stack.
 Eigenvalues and singular values come from LAPACK through ``numpy.linalg``;
-a LAPACK failure propagates as ``numpy.linalg.LinAlgError``.
+a LAPACK failure propagates as ``numpy.linalg.LinAlgError``.  Negativity
+reads the damped states' partial transposes block by block in closed form
+(``measures.negativity``) and calls ``hermitian_eigenvalues`` only for a
+matrix with larger blocks or a negative diagonal entry.
 """
 
 from __future__ import annotations
@@ -38,37 +41,16 @@ def _check_stack(m: np.ndarray, shape: tuple[int, ...] | None = None) -> np.ndar
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted ascending, from LAPACK.
-
-    Indices are first reordered so that each decoupled block (connected
-    component of the nonzero pattern) is contiguous; LAPACK then solves
-    each block at the scale of its own norm, not the whole matrix's.  The
-    damped states' partial transposes split into 1x1 and 2x2 blocks that
-    differ by many orders of magnitude, and their small eigenvalues would
-    otherwise lose printed digits of negativity.
-
-    A stack (n, d, d) gives (n, d): each matrix is reordered by its own
-    blocks, and one LAPACK call solves each matrix as a call on it alone.
-    """
+    """All eigenvalues of a Hermitian matrix, sorted ascending, from one
+    LAPACK ``eigvalsh`` call; a stack (n, d, d) gives (n, d)."""
     m = _check_stack(m)
     if (defect := hermiticity_defect(m)) > HERMITICITY:
         raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY:.0e}")
-    stack = m.reshape((-1,) + m.shape[-2:])
-    n = m.shape[-1]
-    linked = (stack != 0) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):  # each squaring doubles the path length
-        linked = linked @ linked
-    # label each index by the first index of its block; sorting groups blocks
-    order = np.argsort(linked.argmax(axis=-1), axis=-1, kind="stable")[:, :, None]
-    blocked = stack[np.arange(len(stack))[:, None, None], order, order.swapaxes(1, 2)]
-    return np.linalg.eigvalsh(blocked).reshape(m.shape[:-1])
+    return np.linalg.eigvalsh(m)
 
 
 def trace_norm(m: np.ndarray) -> float | np.ndarray:
-    """Sum of singular values.
-
-    Rectangular inputs are allowed (realigned matrices are d_A^2 x d_B^2).
-    """
+    """Sum of singular values; rectangular (realigned) matrices allowed."""
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3):
         raise ShapeMismatch(f"expected a matrix or stack, got shape {m.shape}")
@@ -81,9 +63,8 @@ class DensityMatrix:
     axis, tagged with the subsystem dimensions.
 
     Checked at construction, per matrix: shape, finiteness, Hermiticity,
-    unit trace.  Positivity requires an eigensolve and is verified by
-    ``min_eigenvalue`` where callers need it (state builders, property
-    tests); channel outputs are positive by construction.
+    unit trace.  Positivity requires an eigensolve (``min_eigenvalue``, in
+    property tests); channel outputs are positive by construction.
     """
 
     dim_a: int

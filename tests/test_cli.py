@@ -147,10 +147,10 @@ def test_debug_matrices_flag_embeds_states(capsys):
 
 def test_lapack_failure_exits_with_code_3(capsys, monkeypatch):
     def fail(m, *args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    code, out, err = run_cli(capsys, "boundary", "--family", "state1")
+    monkeypatch.setattr(np.linalg, "svd", fail)  # the 3x3 realigned negativity
+    code, out, err = run_cli(capsys, "evolve", "--family", "twoqutrit")
     assert code == 3 and out == ""
     assert "numeric failure" in err
 
@@ -186,6 +186,15 @@ p_prime,negativity
 0.8,0
 0.999999,0
 """,
+    # a singular 2x2 block at p' = 0.5: negativity exactly 0, not round-off
+    ("evolve", "--family", "state1", "--x", "0.25", "--op-b", "F02", "--pprime-step", "0.25"): """\
+p_prime,negativity
+0,0.125
+0.25,0.0498290285
+0.5,0
+0.75,0
+0.999999,0
+""",
     # the death point, the bisection step count and the grid bracket
     ("boundary", "--family", "state1", "--x", "0.25", "--op-a", "X", "--op-b", "F01",
      "--pn", "0.3"): """\
@@ -202,7 +211,8 @@ state1,0.1,I,I,0,,100,,
 @pytest.mark.parametrize(
     "argv",
     list(PINNED_CSV),
-    ids=["surface-twoqutrit", "evolve-state2", "boundary-dying", "boundary-no-death"],
+    ids=["surface-twoqutrit", "evolve-state2", "evolve-state1-f02", "boundary-dying",
+         "boundary-no-death"],
 )
 def test_pinned_csv_output(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -26,7 +26,10 @@ from esdlab.dynamics import (
 from esdlab.errors import DomainError
 from esdlab.luo import IDENTITY_OP, LocalUnitary, valid_ops
 from esdlab.measures import negativity, realigned_negativity
+from esdlab.qla import partial_transpose
 from esdlab.states import FamilyId, StateFamily, build_state, separability_indicator
+
+from conftest import numpy_negativity
 
 M23 = default_model((2, 3))
 M33 = default_model((3, 3))
@@ -112,6 +115,35 @@ def test_negativity_never_revives_along_pprime(s):
     assert np.all(np.diff(values) <= 1e-12)
     dead = values <= DEFAULT.negativity_zero
     assert np.all(dead[1:] >= dead[:-1])  # once dead, dead for good
+
+
+@settings(max_examples=40, deadline=None)
+@given(flip_schedules())
+@example(sched(FAMILY1, LocalUnitary("I", "F02"), pn=0.0))
+def test_damped_partial_transposes_split_into_2x2_blocks(s):
+    """measures.negativity solves these blocks in closed form, so no
+    pipeline state takes its LAPACK fallback; an exact death point from
+    each block's determinant would rest on the same structure."""
+    pt = partial_transpose(evolve_two_stage(s, pprime_grid(DEFAULT)))
+    linked = (pt != 0) & ~np.eye(pt.shape[-1], dtype=bool)
+    assert np.all(linked.sum(-1) <= 1)  # one off-diagonal entry per row
+    assert np.array_equal(linked, linked.swapaxes(-1, -2))
+    assert np.all(pt.diagonal(axis1=-2, axis2=-1).real >= 0.0)
+
+
+def test_singular_block_gives_exactly_zero_negativity():
+    # at p' = 0.5 one 2x2 block has ab = |c|^2 exactly; LAPACK on the whole
+    # matrix returned -1.4e-17 for its zero eigenvalue
+    s = sched(StateFamily(FamilyId.STATE1, 0.25), LocalUnitary("I", "F02"))
+    assert negativity(evolve_two_stage(s, 0.5)) == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(flip_schedules())
+def test_stacked_pipeline_negativity_matches_numpy(s):
+    rho = evolve_two_stage(s, pprime_grid(DEFAULT))
+    expected = [numpy_negativity(m, *s.family.dims) for m in rho.matrix]
+    assert np.allclose(negativity(rho), expected, rtol=0.0, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,7 +438,6 @@ def test_stacked_sweep_equals_scalar_path_bitwise(family, op):
 def test_pipeline_matches_independent_numpy_route():
     """Full two-stage pipeline vs a from-scratch numpy route (explicit
     Kraus matrices, index-loop partial transpose, LAPACK eigenvalues)."""
-    from conftest import numpy_negativity
     from esdlab.luo import flip_matrix
 
     def np_qubit(p):

@@ -1,12 +1,14 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdlab.channels import apply_channel, composite_kraus, default_model
 from esdlab.measures import Verdict, assess, negativity, realigned_negativity
-from esdlab.qla import DensityMatrix, realign, trace_norm
+from esdlab.qla import DensityMatrix, partial_transpose_matrix, realign, trace_norm
 from esdlab.states import FamilyId, StateFamily, build_state, separability_indicator
 
 from conftest import numpy_negativity, random_density_matrix, random_pure_product
@@ -43,6 +45,44 @@ def test_negativity_is_subsystem_independent_and_matches_numpy(seed):
     neg_b = -w_b[w_b < 0].sum()
     assert abs(neg_a - neg_b) < 1e-12
     assert abs(negativity(rho) - numpy_negativity(rho.matrix, 2, 3)) < 1e-10
+
+
+def test_negativity_of_small_decoupled_blocks_matches_closed_form(rng):
+    # a partial transpose with a positive unit-scale 2x2 block, a 2x2 block
+    # of scale 1e-6 with one negative eigenvalue, a 1x1 block of 3e-19 and
+    # a zero, as near full decay; solved as one matrix, the negative
+    # eigenvalue (about -8e-9) would carry errors of order 1e-16
+    a, b, c = 2e-6, 5e-7, 1.01e-6
+    pt = np.zeros((6, 6), dtype=complex)
+    pt[0, 0], pt[0, 5], pt[5, 0] = 0.7, 0.2, 0.2
+    pt[1, 1], pt[1, 3], pt[3, 1], pt[3, 3] = a, c, c, b
+    pt[2, 2] = 3e-19
+    pt[5, 5] = 1.0 - 0.7 - a - b - 3e-19
+    rho = DensityMatrix(2, 3, partial_transpose_matrix(pt, 2, 3))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a_, b_, c_ = Decimal(a), Decimal(b), Decimal(c)
+        lam = (a_ + b_) / 2 - (((a_ - b_) / 2) ** 2 + c_ * c_).sqrt()
+    assert lam < 0
+    assert math.isclose(negativity(rho), -float(lam), rel_tol=1e-12, abs_tol=0.0)
+    # in a stack beside a state of other blocks and one that takes the
+    # LAPACK route, the same value
+    other = build_state(StateFamily(FamilyId.STATE1, 0.25)).matrix
+    dense = random_density_matrix(rng, 2, 3).matrix
+    stack = DensityMatrix(2, 3, np.stack([other, rho.matrix, dense]))
+    assert negativity(stack)[1] == negativity(rho)
+
+
+def test_only_states_without_block_structure_take_lapack(monkeypatch, rng):
+    def fail(m, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    damped = apply_channel(build_state(StateFamily(FamilyId.STATE1, 0.25)),
+                           composite_kraus((2, 3), 0.3, M23))
+    assert negativity(damped) > 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        negativity(random_density_matrix(rng, 2, 3))
 
 
 @settings(max_examples=25, deadline=None)
