@@ -11,9 +11,11 @@ solver stacks, and at --zero-threshold 1e-9; surfaces on 2x3 and 3x3
 with one and two workers, and at --tol 1e-9; evolve in CSV and JSON on
 all three families, on a grid fine enough to take several stacks, on
 state1 with F02 (whose singular 2x2 block at p' = 0.5 prints an exact
-0, not rounding noise), and with --ratio-a/--ratio-b; 60 seeded
-boundary queries, one more at --tol 1e-9, one at --zero-threshold 1e-9,
-one with --ratio-a/--ratio-b, and two configuration errors.
+0, not rounding noise), with --ratio-a/--ratio-b, and in CSV with
+--debug-matrices (which acts only on JSON); 60 seeded boundary queries,
+one more at --tol 1e-9, one at --zero-threshold 1e-9, one with
+--ratio-a/--ratio-b; two configuration errors; and one option on each
+command that does not read it, which argparse rejects.
 
     PYTHONPATH=src COLUMNS=80 python scripts/output_digest.py
 
@@ -79,6 +81,10 @@ def commands() -> list[list[str]]:
                  "--pn", "0.2", "--ratio-a", "0.7", "--ratio-b", "0.4"])
     cmds.append(["boundary", "--family", "state1", "--x", "0.4"])
     cmds.append(["evolve", "--family", "twoqutrit", "--op-a", "X"])
+    cmds.append(["evolve", "--family", "twoqutrit", "--op-a", "F01", "--pprime-step", "0.05",
+                 "--debug-matrices"])
+    cmds += [["table1", "--x", "0.45"], ["evolve", "--tol", "1e-9"], ["boundary", "--grid", "5"],
+             ["scan", "--pn", "0.1"], ["surface", "--debug-matrices"]]
     return cmds
 
 

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Commands: evolve | boundary | scan | table1 | surface.  Exit codes:
-0 success, 2 configuration error, 3 numeric failure (LAPACK raised
-numpy.linalg.LinAlgError).  Environment variables are never consulted;
-identical configurations produce byte-identical output.  Every command
-runs in this one process: ``--workers`` is accepted, validated and
-echoed in JSON for compatibility, but has no effect.
+Commands: evolve | boundary | scan | table1 | surface.  Options are the
+``RunConfig`` fields, each taken by the commands its metadata names; any
+other option exits 2.  Exit codes: 0 success, 2 configuration error, 3
+numeric failure (LAPACK raised numpy.linalg.LinAlgError).  Environment
+variables are never consulted; identical configurations produce
+byte-identical output.  Every command runs in this one process:
+``--workers`` is kept for old argvs: validated, echoed in JSON, no effect.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,25 +42,38 @@ from .states import FamilyId, StateFamily
 DEFAULT_X = {FamilyId.STATE1: 0.25, FamilyId.STATE2: 0.5, FamilyId.TWO_QUTRIT: 0.25}
 
 
+# the commands that read each group of options
+STATE = ("evolve", "boundary", "scan", "surface")
+SOLVER = ("boundary", "scan", "surface")
+EVERY = STATE + ("table1",)
+
+
+def _option(default, commands: tuple[str, ...], **argparse_kwargs):
+    """A ``RunConfig`` field that is the option ``--name`` of ``commands``."""
+    return field(default=default, metadata={"commands": commands, "argparse": argparse_kwargs})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    family: str = "state1"
-    x: float | None = None
-    ratio_a: float | None = None
-    ratio_b: float | None = None
-    op_a: str = "I"
-    op_b: str = "I"
-    pn: float = 0.0
-    pn_step: float = 0.01
-    pprime_step: float = DEFAULT.pprime_grid_step
-    tol: float = DEFAULT.bisection
-    zero_threshold: float = DEFAULT.negativity_zero
-    format: str = "csv"
-    out: str | None = None
-    workers: int = 1
-    debug_matrices: bool = False
-    grid: int = 21
+    family: str = _option("state1", STATE, help="state1 | state2 | twoqutrit")
+    x: float | None = _option(None, STATE, type=float, help="family parameter")
+    ratio_a: float | None = _option(None, STATE, type=float)
+    ratio_b: float | None = _option(None, STATE, type=float)
+    op_a: str = _option("I", STATE, help="I | X (qubit) or flips")
+    op_b: str = _option("I", STATE, help="I | F01 | F02 | F102 | F201")
+    pn: float = _option(0.0, ("evolve", "boundary"), type=float, help="flip application point")
+    pn_step: float = _option(0.01, ("scan",), type=float)
+    pprime_step: float = _option(DEFAULT.pprime_grid_step, STATE, type=float)
+    tol: float = _option(DEFAULT.bisection, SOLVER, type=float, help="bisection tolerance")
+    zero_threshold: float = _option(DEFAULT.negativity_zero, SOLVER, type=float)
+    format: str = _option("csv", EVERY, choices=("csv", "json"))
+    out: str | None = _option(None, EVERY, help="output path (default stdout)")
+    workers: int = _option(1, EVERY, type=int)
+    debug_matrices: bool = _option(
+        False, ("evolve",), action="store_true", help="embed evolved matrices in JSON rows"
+    )
+    grid: int = _option(21, ("surface",), type=int, help="surface grid per axis")
 
     def validated(self) -> "ResolvedRun":
         try:
@@ -142,6 +156,7 @@ class ResolvedRun:
 
 
 def cmd_evolve(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
+    """negativity along the second damping stage"""
     header = ["p_prime", "negativity"]
     if run.is_two_qutrit:
         header.append("realigned_negativity")
@@ -156,13 +171,14 @@ def cmd_evolve(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
             columns.append(realigned_negativity(rho))
         for values, m in zip(zip(*columns), rho.matrix):
             row = dict(zip(header, map(io.round9, values)))
-            if run.config.debug_matrices:
+            if run.config.debug_matrices and run.config.format == "json":  # CSV drops it
                 row["matrix"] = io.matrix_to_pairs(m)
             rows.append(row)
     return header, rows, {}
 
 
 def cmd_boundary(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
+    """locate the sudden-death point in p'"""
     sched = StageSchedule(run.family, run.model, run.op, run.config.pn)
     record = death_point_record(sched, run.tolerances)
     row = {
@@ -181,6 +197,7 @@ def cmd_boundary(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
 
 
 def cmd_scan(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
+    """classify Avoid/Delay/Hasten over a p_n grid"""
     bounds = regime_boundaries(run.family, run.model, run.op, run.tolerances)
     pns = [float(p) for p in np.arange(0.0, bounds.baseline_death, run.config.pn_step)]
     scheds = [StageSchedule(run.family, run.model, run.op, pn) for pn in pns]
@@ -211,6 +228,7 @@ def cmd_scan(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
 
 
 def cmd_table1(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
+    """classification patterns for all nine flip pairs"""
     rows = [
         {
             "operation": f"{op_a}*{op_b}",
@@ -223,6 +241,7 @@ def cmd_table1(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
 
 
 def cmd_surface(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
+    """negativity samples over the (p_n, p') rectangle"""
     samples, locus = sweep_surface(
         run.family, run.model, run.op, grid=run.config.grid, tol=run.tolerances
     )
@@ -249,47 +268,6 @@ def _emit(run: ResolvedRun, header: list[str], rows: list[dict], extra: dict) ->
     return io.csv_lines(header, [[row.get(col) for col in header] for row in rows])
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="esdlab",
-        description="Damping dynamics and sudden-death manipulation for "
-        "qubit-qutrit and qutrit-qutrit entangled states.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("evolve", "negativity along the second damping stage"),
-        ("boundary", "locate the sudden-death point in p'"),
-        ("scan", "classify Avoid/Delay/Hasten over a p_n grid"),
-        ("table1", "classification patterns for all nine flip pairs"),
-        ("surface", "negativity samples over the (p_n, p') rectangle"),
-    ):
-        # options left out of the argv stay unset, so RunConfig's field
-        # defaults are the only defaults
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        p.add_argument("--family", help="state1 | state2 | twoqutrit")
-        p.add_argument("--x", type=float, help="family parameter")
-        p.add_argument("--ratio-a", type=float)
-        p.add_argument("--ratio-b", type=float)
-        p.add_argument("--op-a", help="I | X (qubit) or flips")
-        p.add_argument("--op-b", help="I | F01 | F02 | F102 | F201")
-        p.add_argument("--pn", type=float, help="flip application point")
-        p.add_argument("--pn-step", type=float)
-        p.add_argument("--pprime-step", type=float)
-        p.add_argument("--tol", type=float, help="bisection tolerance")
-        p.add_argument("--zero-threshold", type=float)
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--grid", type=int, help="surface grid per axis")
-        p.add_argument(
-            "--debug-matrices",
-            action="store_true",
-            help="embed evolved matrices in JSON rows",
-        )
-    return parser
-
-
 COMMANDS = {
     "evolve": cmd_evolve,
     "boundary": cmd_boundary,
@@ -299,15 +277,31 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="esdlab",
+        description="Damping dynamics and sudden-death manipulation for "
+        "qubit-qutrit and qutrit-qutrit entangled states.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        # options left out of the argv stay unset, so RunConfig's field defaults
+        # are the only defaults; no abbreviations (scan --pn is not --pn-step)
+        p = sub.add_parser(
+            name, help=cmd.__doc__, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
+        for f in fields(RunConfig):
+            if name in f.metadata.get("commands", ()):
+                p.add_argument("--" + f.name.replace("_", "-"), **f.metadata["argparse"])
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = RunConfig(**vars(args))
     try:
         run = config.validated()
-    except DomainError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         header, rows, extra = COMMANDS[config.command](run)
         text = _emit(run, header, rows, extra)
     except DomainError as exc:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import qla
 from .config import DEFAULT, Tolerances
+from .errors import ShapeMismatch
 from .qla import DensityMatrix
 
 
@@ -70,6 +71,9 @@ def realigned_negativity(rho: DensityMatrix) -> float | np.ndarray:
 
 
 def assess(rho: DensityMatrix, tol: Tolerances = DEFAULT) -> EntanglementReading:
+    """The entanglement verdict on one state; a stack raises ``ShapeMismatch``."""
+    if rho.matrix.ndim != 2:
+        raise ShapeMismatch(f"assess takes one state, got a stack of shape {rho.matrix.shape}")
     neg = negativity(rho)
     if (rho.dim_a, rho.dim_b) != (3, 3):
         verdict = Verdict.ENTANGLED if neg > tol.negativity_zero else Verdict.SEPARABLE_2X3

@@ -1,11 +1,12 @@
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from esdlab import io
-from esdlab.cli import RunConfig, build_parser, main
+from esdlab.cli import COMMANDS, RunConfig, build_parser, main
 from esdlab.config import DEFAULT, Tolerances
 from esdlab.states import FamilyId, StateFamily, build_state
 
@@ -145,6 +146,20 @@ def test_debug_matrices_flag_embeds_states(capsys):
     assert matrix[0][0][0] == 0.125  # ground population of the initial state
 
 
+def test_debug_matrices_leave_csv_unchanged(capsys, monkeypatch):
+    argv = ["evolve", "--family", "twoqutrit", "--op-a", "F01", "--pprime-step", "0.05"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    def fail(m):
+        raise AssertionError("a matrix was converted for CSV output")
+
+    monkeypatch.setattr(io, "matrix_to_pairs", fail)
+    code, flagged, err = run_cli(capsys, *argv, "--debug-matrices")
+    assert code == 0 and err == ""
+    assert flagged == plain
+
+
 def test_lapack_failure_exits_with_code_3(capsys, monkeypatch):
     def fail(m, *args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -248,6 +263,56 @@ def test_scan_memory_stays_bounded_on_a_fine_pn_grid(tmp_path):
         tracemalloc.stop()
     assert peak < 6 * 2**20
     assert len((tmp_path / "scan.csv").read_text().splitlines()) == 1 + 801
+
+
+# the options each command reads, as RunConfig field names
+STATE_OPTIONS = ["family", "x", "ratio_a", "ratio_b", "op_a", "op_b"]
+EVERY_COMMAND = ["format", "out", "workers"]
+READS = {
+    "evolve": STATE_OPTIONS + ["pn", "pprime_step", "debug_matrices"] + EVERY_COMMAND,
+    "boundary": STATE_OPTIONS + ["pn", "pprime_step", "tol", "zero_threshold"] + EVERY_COMMAND,
+    "scan": STATE_OPTIONS + ["pn_step", "pprime_step", "tol", "zero_threshold"] + EVERY_COMMAND,
+    "table1": EVERY_COMMAND,
+    "surface": STATE_OPTIONS + ["grid", "pprime_step", "tol", "zero_threshold"] + EVERY_COMMAND,
+}
+# one valid value per option; None marks a switch
+VALID = {
+    "family": "state2", "x": "0.3", "ratio_a": "0.7", "ratio_b": "0.4", "op_a": "X",
+    "op_b": "F01", "pn": "0.1", "pn_step": "0.05", "pprime_step": "0.05", "tol": "1e-9",
+    "zero_threshold": "1e-9", "format": "json", "out": "out.csv", "workers": "2",
+    "debug_matrices": None, "grid": "5",
+}
+OPTIONS = [f.name for f in fields(RunConfig) if f.name != "command"]
+
+
+@pytest.mark.parametrize("option", OPTIONS)
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_each_command_takes_exactly_the_options_it_reads(capsys, command, option):
+    argv = [command, "--" + option.replace("_", "-")]
+    if VALID[option] is not None:
+        argv.append(VALID[option])
+    if option not in READS[command]:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        return
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    assert getattr(config, option) != getattr(RunConfig(command), option)
+    config.validated()
+
+
+def test_every_run_config_field_is_an_option_of_some_command():
+    assert sorted(OPTIONS) == sorted({option for read in READS.values() for option in read})
+    assert sum(map(len, READS.values())) == 54
+
+
+def test_table1_rejects_an_x_it_would_not_read(capsys):
+    # table1 uses each family's default x; an --x used to be range-checked
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--x", "0.45"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --x 0.45" in capsys.readouterr().err
 
 
 def test_bare_argv_takes_the_run_config_defaults():

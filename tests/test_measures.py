@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdlab.channels import apply_channel, composite_kraus, default_model
+from esdlab.dynamics import StageSchedule, evolve_two_stage
+from esdlab.errors import ShapeMismatch
 from esdlab.measures import Verdict, assess, negativity, realigned_negativity
 from esdlab.qla import DensityMatrix, partial_transpose_matrix, realign, trace_norm
 from esdlab.states import FamilyId, StateFamily, build_state, separability_indicator
@@ -143,6 +145,16 @@ def test_assess_verdicts():
     tq = assess(build_state(StateFamily(FamilyId.TWO_QUTRIT, 0.25)))
     assert tq.verdict is Verdict.ENTANGLED
     assert tq.realigned_negativity is not None
+
+
+@pytest.mark.parametrize("family", [FamilyId.STATE1, FamilyId.TWO_QUTRIT])
+def test_assess_rejects_a_stack_by_its_shape(family):
+    stack = evolve_two_stage(
+        StageSchedule(StateFamily(family, 0.25), default_model(family.dims)),
+        np.array([0.1, 0.2]),
+    )
+    with pytest.raises(ShapeMismatch, match=rf"one state.*\(2, {stack.dim}, {stack.dim}\)"):
+        assess(stack)
 
 
 def test_assess_consults_realignment_after_negativity_death():
