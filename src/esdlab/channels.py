@@ -3,7 +3,7 @@
 A qubit damps its excited level to ground with probability p.  A V-type
 qutrit has two excited levels that each damp only to the shared ground
 level, with probabilities p1 and p2.  All channel math is done in
-p-space; time enters only through ``DecayModel.p_of_t``/``t_of_p``.
+p-space; the decay time never enters.
 
 The per-run parameterization ties the qutrit branches to the reference
 probability linearly, p1 = ratio_a * p and p2 = ratio_b * p.  The second
@@ -16,7 +16,6 @@ realigned state, so a whole p' sweep is one pass through one kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,30 +26,16 @@ from .qla import DensityMatrix, realign
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Decay parameterization: p(t) = 1 - exp(-gamma*t), p1 = ratio_a*p,
-    p2 = ratio_b*p."""
+    """Qutrit branch probabilities p1 = ratio_a*p, p2 = ratio_b*p."""
 
     ratio_a: float
     ratio_b: float
-    gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
         for name in ("ratio_a", "ratio_b"):
             r = getattr(self, name)
             if not 0.0 <= r <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {r}")
-
-    def p_of_t(self, t: float) -> float:
-        if t < 0.0:
-            raise DomainError(f"time must be non-negative, got {t}")
-        return 1.0 - math.exp(-self.gamma * t)
-
-    def t_of_p(self, p: float) -> float:
-        if not 0.0 <= p < 1.0:
-            raise DomainError(f"p must lie in [0, 1) for a finite time, got {p}")
-        return -math.log(1.0 - p) / self.gamma
 
     def branch_probabilities(self, p: float) -> tuple[float, float]:
         """(p1, p2) for the qutrit branches at reference probability p."""
@@ -78,13 +63,6 @@ class KrausSet:
     @property
     def dims(self) -> tuple[int, int]:
         return self.ops_a.shape[-1], self.ops_b.shape[-1]
-
-    def completeness_residual(self) -> float:
-        """max-norm of (sum_k K^dagger K) - identity, worst subsystem and p."""
-        return max(
-            np.abs(np.einsum("...kji,...kjl->...il", ops.conj(), ops) - np.eye(ops.shape[-1])).max()
-            for ops in (self.ops_a, self.ops_b)
-        )
 
 
 def _probabilities(name: str, p) -> np.ndarray | np.float64:
@@ -139,24 +117,6 @@ def composite_kraus(dims: tuple[int, int], p, model: DecayModel) -> KrausSet:
         kq = _damping_ops(*branches)
         return KrausSet(kq, kq)
     raise DomainError(f"unsupported dims {dims}")
-
-
-def composite_kraus_from_branches(
-    dims: tuple[int, int],
-    branches_a: tuple[float, ...],
-    branches_b: tuple[float, float],
-) -> KrausSet:
-    """Composite channel with explicitly given per-branch probabilities.
-
-    ``branches_a`` is (p,) for a qubit or (p1, p2) for a qutrit;
-    ``branches_b`` is always (p1, p2).  Used to express channel
-    composition: two stages equal one stage with damping
-    1 - (1-p)(1-p') on every decay branch.
-    """
-    side_a = {(2, 3): qubit_kraus, (3, 3): qutrit_kraus}.get(dims)
-    if side_a is None:
-        raise DomainError(f"unsupported dims {dims}")
-    return KrausSet(side_a(*branches_a), qutrit_kraus(*branches_b))
 
 
 def superoperator(ops: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,53 +76,60 @@ class RunConfig:
     grid: int = _option(21, ("surface",), type=int, help="surface grid per axis")
 
     def validated(self) -> "ResolvedRun":
+        """Range-check the fields the command reads; the others take their defaults."""
+        if self.command not in EVERY:
+            raise DomainError(f"command: must be one of {list(EVERY)}, got {self.command!r}")
+        config = replace(self, **{
+            f.name: f.default for f in fields(self)
+            if f.metadata and self.command not in f.metadata["commands"]
+        })
         try:
-            family_id = FamilyId(self.family)
+            family_id = FamilyId(config.family)
         except ValueError:
             raise DomainError(
-                f"family: must be one of {[f.value for f in FamilyId]}, got {self.family!r}"
+                f"family: must be one of {[f.value for f in FamilyId]}, got {config.family!r}"
             ) from None
         dims = family_id.dims
-        x = DEFAULT_X[family_id] if self.x is None else self.x
+        x = DEFAULT_X[family_id] if config.x is None else config.x
         try:
             family = StateFamily(family_id, x)
         except DomainError as exc:
             raise DomainError(f"x: {exc}") from None
         base = default_model(dims)
-        ratio_a = base.ratio_a if self.ratio_a is None else self.ratio_a
-        ratio_b = base.ratio_b if self.ratio_b is None else self.ratio_b
+        ratio_a = base.ratio_a if config.ratio_a is None else config.ratio_a
+        ratio_b = base.ratio_b if config.ratio_b is None else config.ratio_b
         try:
             model = DecayModel(ratio_a=ratio_a, ratio_b=ratio_b)
         except DomainError as exc:
             raise DomainError(f"ratio-a/ratio-b: {exc}") from None
-        for side, name, dim in (("op-a", self.op_a, dims[0]), ("op-b", self.op_b, dims[1])):
+        for side, name, dim in (("op-a", config.op_a, dims[0]), ("op-b", config.op_b, dims[1])):
             if name not in valid_ops(dim):
                 raise DomainError(
                     f"{side}: {name!r} is not valid for dimension {dim}; "
                     f"valid: {list(valid_ops(dim))}"
                 )
-        op = LocalUnitary(self.op_a, self.op_b)
-        if not 0.0 <= self.pn < 1.0:
-            raise DomainError(f"pn: must lie in [0, 1), got {self.pn}")
-        for name, step in (("pn-step", self.pn_step), ("pprime-step", self.pprime_step)):
+        op = LocalUnitary(config.op_a, config.op_b)
+        if not 0.0 <= config.pn < 1.0:
+            raise DomainError(f"pn: must lie in [0, 1), got {config.pn}")
+        for name, step in (("pn-step", config.pn_step), ("pprime-step", config.pprime_step)):
             if not 0.0 < step < 0.5:
                 raise DomainError(f"{name}: must lie in (0, 0.5), got {step}")
-        if not self.tol > 0.0:
-            raise DomainError(f"tol: must be positive, got {self.tol}")
-        if not self.zero_threshold > 0.0:
-            raise DomainError(f"zero-threshold: must be positive, got {self.zero_threshold}")
-        if self.workers < 1:
-            raise DomainError(f"workers: must be at least 1, got {self.workers}")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"format: must be csv or json, got {self.format!r}")
-        if self.grid < 2:
-            raise DomainError(f"grid: must be at least 2, got {self.grid}")
+        if not config.tol > 0.0:
+            raise DomainError(f"tol: must be positive, got {config.tol}")
+        if not config.zero_threshold > 0.0:
+            raise DomainError(f"zero-threshold: must be positive, got {config.zero_threshold}")
+        if config.workers < 1:
+            raise DomainError(f"workers: must be at least 1, got {config.workers}")
+        if config.format not in ("csv", "json"):
+            raise DomainError(f"format: must be csv or json, got {config.format!r}")
+        if config.grid < 2:
+            raise DomainError(f"grid: must be at least 2, got {config.grid}")
         tolerances = Tolerances(
-            negativity_zero=self.zero_threshold,
-            bisection=self.tol,
-            pprime_grid_step=self.pprime_step,
+            negativity_zero=config.zero_threshold,
+            bisection=config.tol,
+            pprime_grid_step=config.pprime_step,
         )
-        return ResolvedRun(self, family, model, op, tolerances)
+        return ResolvedRun(config, family, model, op, tolerances)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -254,7 +261,7 @@ def cmd_surface(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
         for pn, pp, nv in samples
     ]
     locus_doc = [
-        {"p_n": io.round9(pn), "p_prime_death": io.round9(d)} for pn, d in locus.samples
+        {"p_n": io.round9(pn), "p_prime_death": io.round9(d)} for pn, d in locus
     ]
     return ["p_n", "p_prime", "negativity"], rows, {"locus": locus_doc}
 
@@ -277,6 +284,17 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which rejects an option it does not take under
+    its own usage line rather than handing it back to the top level."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        if rest:
+            self.error("unrecognized arguments: " + " ".join(rest))
+        return namespace, rest
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -284,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Damping dynamics and sudden-death manipulation for "
         "qubit-qutrit and qutrit-qutrit entangled states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, cmd in COMMANDS.items():
         # options left out of the argv stay unset, so RunConfig's field defaults
         # are the only defaults; no abbreviations (scan --pn is not --pn-step)

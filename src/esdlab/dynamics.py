@@ -84,13 +84,6 @@ class ClassificationVerdict:
 
 
 @dataclass(frozen=True)
-class BoundaryCurve:
-    """Sampled death locus: (p_n, p'-of-death or None when no death)."""
-
-    samples: tuple
-
-
-@dataclass(frozen=True)
 class DeathRecord:
     p_prime: float | None
     iterations: int
@@ -339,10 +332,11 @@ def sweep_surface(
     *,
     grid: int,
     tol: Tolerances = DEFAULT,
-) -> tuple[list[tuple[float, float, float]], BoundaryCurve]:
+) -> tuple[list[tuple[float, float, float]], tuple[tuple[float, float | None], ...]]:
     """Rectangular negativity samples over (p_n, p') plus the per-column
-    death locus.  Each column's samples are one stacked p' sweep, and the
-    column deaths are one ``death_point_records`` call."""
+    death locus, (p_n, p' of death or None when the column never dies).
+    Each column's samples are one stacked p' sweep, and the column deaths
+    are one ``death_point_records`` call."""
     if grid < 2:
         raise DomainError(f"grid must be at least 2 per axis, got {grid}")
     axis = np.linspace(0.0, DEATH_CAP, grid)
@@ -352,5 +346,4 @@ def sweep_surface(
     for s in columns:
         values = negativity(damp(state_after_flip(s), model, axis))
         rows.extend((s.p_n, pp, nv) for pp, nv in zip(axis.tolist(), values.tolist()))
-    locus = tuple((s.p_n, record.p_prime) for s, record in zip(columns, deaths))
-    return rows, BoundaryCurve(samples=locus)
+    return rows, tuple((s.p_n, record.p_prime) for s, record in zip(columns, deaths))

@@ -1,4 +1,4 @@
-"""Serialization: CSV and JSON record formats, and the JSON state format.
+"""Serialization: CSV and JSON record formats.
 
 CSV files carry a header row, comma separators, LF line endings, and
 floats printed with 9 significant digits.  JSON documents carry the same
@@ -17,8 +17,6 @@ from io import StringIO
 from typing import Any, Iterable, Sequence
 
 import numpy as np
-
-from .qla import DensityMatrix
 
 SCHEMA_VERSION = 1
 
@@ -63,20 +61,3 @@ def json_document(
 def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
     m = np.asarray(m, complex)
     return np.stack((m.real, m.imag), axis=-1).tolist()
-
-
-def pairs_to_matrix(pairs: list[list[list[float]]]) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in pairs], dtype=complex)
-
-
-def state_to_dict(rho: DensityMatrix) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dims": [rho.dim_a, rho.dim_b],
-        "matrix": matrix_to_pairs(rho.matrix),
-    }
-
-
-def state_from_dict(doc: dict) -> DensityMatrix:
-    dim_a, dim_b = doc["dims"]
-    return DensityMatrix(int(dim_a), int(dim_b), pairs_to_matrix(doc["matrix"]))

@@ -63,8 +63,8 @@ class DensityMatrix:
     axis, tagged with the subsystem dimensions.
 
     Checked at construction, per matrix: shape, finiteness, Hermiticity,
-    unit trace.  Positivity requires an eigensolve (``min_eigenvalue``, in
-    property tests); channel outputs are positive by construction.
+    unit trace.  Positivity would take an eigensolve, so it is left to
+    the property tests; channel outputs are positive by construction.
     """
 
     dim_a: int
@@ -91,9 +91,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
-
-    def min_eigenvalue(self) -> float | np.ndarray:
-        return hermitian_eigenvalues(self.matrix)[..., 0]
 
 
 def partial_transpose_matrix(

@@ -1,4 +1,5 @@
-"""Shared helpers: random-state generators and brute-force index oracles.
+"""Shared helpers: random-state generators, brute-force index oracles and
+the Kraus completeness residual.
 
 The oracles deliberately re-derive each transformation with explicit
 index loops (or defer to numpy.linalg), independently of the vectorized
@@ -8,6 +9,7 @@ production code they check.
 import numpy as np
 import pytest
 
+from esdlab.channels import KrausSet
 from esdlab.qla import DensityMatrix
 
 
@@ -65,6 +67,14 @@ def brute_realign(m: np.ndarray, da: int, db: int) -> np.ndarray:
                 for l in range(db):
                     out[da * i + k, db * j + l] = m[da_idx(i, j, db), da_idx(k, l, db)]
     return out
+
+
+def completeness_residual(ks: KrausSet) -> float:
+    """max-norm of (sum_k K^dagger K) - identity, worst subsystem and p."""
+    return max(
+        np.abs(np.einsum("...kji,...kjl->...il", ops.conj(), ops) - np.eye(ops.shape[-1])).max()
+        for ops in (ks.ops_a, ks.ops_b)
+    )
 
 
 def numpy_negativity(m: np.ndarray, da: int, db: int) -> float:

@@ -17,10 +17,12 @@ import pytest
 
 from esdlab.channels import (
     DecayModel,
+    KrausSet,
     apply_channel,
     composite_kraus,
-    composite_kraus_from_branches,
     default_model,
+    qubit_kraus,
+    qutrit_kraus,
 )
 from esdlab.cli import main
 from esdlab.config import DEFAULT
@@ -45,7 +47,7 @@ from esdlab.qla import (
 )
 from esdlab.states import FamilyId, StateFamily, build_state, separability_indicator
 
-from conftest import random_density_matrix, random_pure_product
+from conftest import completeness_residual, random_density_matrix, random_pure_product
 
 M23 = default_model((2, 3))
 M33 = default_model((3, 3))
@@ -211,7 +213,7 @@ def test_criterion_6_kraus_completeness():
         dims = (2, 3) if rng.random() < 0.5 else (3, 3)
         model = DecayModel(ratio_a=rng.random(), ratio_b=rng.random())
         ks = composite_kraus(dims, rng.random(), model)
-        worst = max(worst, ks.completeness_residual())
+        worst = max(worst, completeness_residual(ks))
     check("6", "Kraus completeness over 200 random channels", worst <= 1e-12,
           f"worst residual {worst:.2e}")
 
@@ -282,7 +284,7 @@ def test_criterion_6_two_stage_composition():
         q = 1.0 - (1.0 - p) * (1.0 - pp)
         q1 = 1.0 - (1.0 - M23.ratio_a * p) * (1.0 - M23.ratio_a * pp)
         q2 = 1.0 - (1.0 - M23.ratio_b * p) * (1.0 - M23.ratio_b * pp)
-        combined = apply_channel(rho, composite_kraus_from_branches((2, 3), (q,), (q1, q2)))
+        combined = apply_channel(rho, KrausSet(qubit_kraus(q), qutrit_kraus(q1, q2)))
         worst = max(worst, float(np.abs(staged.matrix - combined.matrix).max()))
     check("6", "two-stage equals combined damping over 200 cases", worst <= 1e-10,
           f"worst deviation {worst:.2e}")

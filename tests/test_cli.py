@@ -8,7 +8,8 @@ import pytest
 from esdlab import io
 from esdlab.cli import COMMANDS, RunConfig, build_parser, main
 from esdlab.config import DEFAULT, Tolerances
-from esdlab.states import FamilyId, StateFamily, build_state
+from esdlab.errors import DomainError
+from esdlab.states import FamilyId, StateFamily
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +316,26 @@ def test_table1_rejects_an_x_it_would_not_read(capsys):
     assert "unrecognized arguments: --x 0.45" in capsys.readouterr().err
 
 
+def test_a_rejected_option_prints_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--pn", "0.1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: esdlab scan ")
+    assert "--pn-step PN_STEP" in err
+    assert "esdlab scan: error: unrecognized arguments: --pn 0.1" in err
+
+
+def test_validated_checks_only_the_fields_the_command_reads():
+    # a config file may carry fields its command never reads
+    run = RunConfig.from_dict({"command": "table1", "x": 0.45}).validated()
+    assert run.config == RunConfig(command="table1")
+    with pytest.raises(DomainError, match=r"^x: "):
+        RunConfig.from_dict({"command": "scan", "x": 0.45}).validated()
+    with pytest.raises(DomainError, match=r"^command: "):
+        RunConfig.from_dict({"command": "bogus", "x": 0.45}).validated()
+
+
 def test_bare_argv_takes_the_run_config_defaults():
     args = build_parser().parse_args(["evolve"])
     assert vars(args) == {"command": "evolve"}
@@ -339,14 +360,6 @@ def test_emitted_config_reparses_to_the_same_run(capsys):
     assert reparsed.family == StateFamily(FamilyId.STATE2, 0.5)
     assert (reparsed.model.ratio_a, reparsed.model.ratio_b) == (0.8, 0.6)
     assert reparsed.op.op_a == "X"
-
-
-def test_state_json_round_trip():
-    rho = build_state(StateFamily(FamilyId.TWO_QUTRIT, 0.2))
-    doc = json.loads(json.dumps(io.state_to_dict(rho)))
-    back = io.state_from_dict(doc)
-    assert back.dim_a == 3 and back.dim_b == 3
-    assert np.abs(back.matrix - rho.matrix).max() == 0.0
 
 
 def test_float_formatting_is_nine_significant_digits():

@@ -388,15 +388,15 @@ def test_surface_corners_and_locus():
     assert len(rows) == 25
     corner = [r for r in rows if r[0] == 0.0 and r[1] == 0.0][0]
     assert abs(corner[2] - 0.125) < 1e-10
-    assert abs(locus.samples[0][1] - 0.6168) < 5e-4
+    assert abs(locus[0][1] - 0.6168) < 5e-4
     # beyond the death point the column is dead from the start
-    late = [s for s in locus.samples if s[0] > 0.62]
+    late = [s for s in locus if s[0] > 0.62]
     assert all(d == 0.0 for _, d in late)
 
 
 def test_family2_surface_death_is_symmetric():
     rows, locus = sweep_surface(FAMILY2, M23, grid=3)
-    assert abs(locus.samples[0][1] - 0.8452) < 5e-4
+    assert abs(locus[0][1] - 0.8452) < 5e-4
     # "and vice-versa": negativity along p' = 0 dies at the same strength
     s = sched(FAMILY2)
     assert negativity(evolve_two_stage(sched(FAMILY2, pn=0.84), 0.0)) > 1e-12

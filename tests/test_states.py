@@ -4,6 +4,7 @@ import pytest
 from esdlab.channels import apply_channel, composite_kraus, default_model
 from esdlab.errors import DomainError
 from esdlab.measures import negativity
+from esdlab.qla import hermitian_eigenvalues
 from esdlab.states import (
     FamilyId,
     StateFamily,
@@ -60,7 +61,7 @@ def test_two_qutrit_matrix_at_x_zero():
 def test_built_states_satisfy_density_invariants(family, xs):
     for x in xs:
         rho = build_state(StateFamily(family, x))
-        assert rho.min_eigenvalue() >= -1e-10
+        assert hermitian_eigenvalues(rho.matrix)[..., 0] >= -1e-10
         assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
 
 
