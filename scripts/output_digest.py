@@ -12,8 +12,10 @@ with one and two workers, and at --tol 1e-9; evolve in CSV and JSON on
 all three families, on a grid fine enough to take several stacks, on
 state1 with F02 (whose singular 2x2 block at p' = 0.5 prints an exact
 0, not rounding noise), with --ratio-a/--ratio-b, and in CSV with
---debug-matrices (which acts only on JSON); 60 seeded boundary queries,
-one more at --tol 1e-9, one at --zero-threshold 1e-9, one with
+--debug-matrices (which acts only on JSON); evolve in JSON with
+--debug-matrices on 6x6 and 9x9 grids of several stacks each, and on
+6x6 with --ratio-a/--ratio-b; 60 seeded boundary queries, one more at
+--tol 1e-9, one at --zero-threshold 1e-9, one with
 --ratio-a/--ratio-b; two configuration errors; and one option on each
 command that does not read it, which argparse rejects.
 
@@ -83,6 +85,10 @@ def commands() -> list[list[str]]:
     cmds.append(["evolve", "--family", "twoqutrit", "--op-a", "X"])
     cmds.append(["evolve", "--family", "twoqutrit", "--op-a", "F01", "--pprime-step", "0.05",
                  "--debug-matrices"])
+    cmds.append(["evolve", "--family", "twoqutrit", "--op-a", "F01", "--op-b", "F02",
+                 "--pprime-step", "0.003", "--format", "json", "--debug-matrices"])
+    cmds.append(["evolve", "--family", "state2", "--op-a", "X", "--op-b", "F01", "--pn", "0.1",
+                 "--ratio-a", "0.7", "--ratio-b", "0.4", "--format", "json", "--debug-matrices"])
     cmds += [["table1", "--x", "0.45"], ["evolve", "--tol", "1e-9"], ["boundary", "--grid", "5"],
              ["scan", "--pn", "0.1"], ["surface", "--debug-matrices"]]
     return cmds

@@ -136,7 +136,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        return cls(**doc)
+        """Each value must have its option's argparse type; an int stands for a float."""
+        options = {f.name: f for f in fields(cls)}
+        values = {}
+        for name, value in doc.items():
+            if name not in options:
+                raise DomainError(f"{name}: not a RunConfig field")
+            spec = options[name].metadata.get("argparse", {})
+            kind = bool if spec.get("action") == "store_true" else spec.get("type", str)
+            if not (type(value) is kind or kind is float and type(value) is int
+                    or value is None and options[name].default is None):
+                raise DomainError(f"{name}: must be {kind.__name__}, got {value!r}")
+            values[name] = None if value is None else kind(value)
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -176,11 +188,10 @@ def cmd_evolve(run: ResolvedRun) -> tuple[list[str], list[dict], dict]:
         columns = [chunk, negativity(rho)]
         if run.is_two_qutrit:
             columns.append(realigned_negativity(rho))
-        for values, m in zip(zip(*columns), rho.matrix):
-            row = dict(zip(header, map(io.round9, values)))
-            if run.config.debug_matrices and run.config.format == "json":  # CSV drops it
-                row["matrix"] = io.matrix_to_pairs(m)
-            rows.append(row)
+        rows += [dict(zip(header, map(io.round9, values))) for values in zip(*columns)]
+        if run.config.debug_matrices and run.config.format == "json":  # CSV drops it
+            for row, text in zip(rows[start:], io.matrix_texts(rho.matrix)):
+                row["matrix"] = text
     return header, rows, {}
 
 
@@ -320,8 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(**vars(args))
     try:
         run = config.validated()
-        header, rows, extra = COMMANDS[config.command](run)
-        text = _emit(run, header, rows, extra)
+        text = _emit(run, *COMMANDS[config.command](run))  # rows freed before the write
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

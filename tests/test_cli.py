@@ -8,6 +8,7 @@ import pytest
 from esdlab import io
 from esdlab.cli import COMMANDS, RunConfig, build_parser, main
 from esdlab.config import DEFAULT, Tolerances
+from esdlab.dynamics import STACK_LIMIT, StageSchedule, damp, pprime_grid, state_after_flip
 from esdlab.errors import DomainError
 from esdlab.states import FamilyId, StateFamily
 
@@ -152,13 +153,72 @@ def test_debug_matrices_leave_csv_unchanged(capsys, monkeypatch):
     code, plain, _ = run_cli(capsys, *argv)
     assert code == 0
 
-    def fail(m):
+    def fail(stack):
         raise AssertionError("a matrix was converted for CSV output")
 
-    monkeypatch.setattr(io, "matrix_to_pairs", fail)
+    monkeypatch.setattr(io, "matrix_texts", fail)
     code, flagged, err = run_cli(capsys, *argv, "--debug-matrices")
     assert code == 0 and err == ""
     assert flagged == plain
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-17, 1e300, 1.0, 0.125]
+
+
+@pytest.mark.parametrize("d", [6, 9])
+def test_matrix_texts_match_json_dumps_of_the_pairs(d):
+    # every edge value and its negative, cycled through the real and imaginary parts
+    parts = np.resize(EDGE_VALUES + [-v for v in EDGE_VALUES], (2, 3, d, d))
+    stack = parts[0].astype(complex)  # keeps -0.0, which parts[0] + 1j * parts[1] would lose
+    stack.imag = parts[1]
+    rows = [{"p_prime": 0.5, "negativity": 0.0}, {"p_prime": 1.0}, {"p_prime": None}]
+    expected = {"schema_version": 1, "config": {"out": "x"}, "summary": {"n": 3}, "rows": [
+        {**row, "matrix": io.matrix_to_pairs(m)} for row, m in zip(rows, stack)
+    ]}
+    spliced = [{**row, "matrix": text} for row, text in zip(rows, io.matrix_texts(stack))]
+    text = io.json_document({"out": "x"}, spliced, {"summary": {"n": 3}})
+    assert text == json.dumps(expected, indent=2) + "\n"
+    assert {repr(v) for v in EDGE_VALUES + [-1e300]} <= set(text.replace(",", "").split())
+
+
+def evolve_reference(argv: list[str]) -> np.ndarray:
+    """The evolved states of an evolve argv, damped as one stack of the whole grid."""
+    run = RunConfig(**vars(build_parser().parse_args(argv))).validated()
+    flipped = state_after_flip(StageSchedule(run.family, run.model, run.op, run.config.pn))
+    return damp(flipped, run.model, pprime_grid(run.tolerances)).matrix
+
+
+@pytest.mark.parametrize("family, op_a, op_b", [
+    ("state1", "X", "F01"), ("state2", "X", "F201"), ("twoqutrit", "F01", "F02"),
+])
+def test_debug_matrices_over_several_stacks_match_json_dumps(capsys, family, op_a, op_b):
+    argv = ["evolve", "--family", family, "--op-a", op_a, "--op-b", op_b, "--pn", "0.1",
+            "--pprime-step", "0.003", "--format", "json", "--debug-matrices"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    stack = evolve_reference(argv)
+    assert len(doc["rows"]) == len(stack) > STACK_LIMIT
+    for row, m in zip(doc["rows"], stack):
+        row["matrix"] = io.matrix_to_pairs(m)
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_a_config_string_holding_the_splice_text_leaves_the_document_intact(
+    tmp_path, monkeypatch
+):
+    # json_document splices each matrix in where the encoder wrote this text
+    splice = '"matrix": null'
+    monkeypatch.chdir(tmp_path)
+    argv = ["evolve", "--family", "twoqutrit", "--pprime-step", "0.25", "--format", "json",
+            "--debug-matrices", "--out", splice]
+    assert main(argv) == 0
+    text = (tmp_path / splice).read_text()
+    doc = json.loads(text)
+    assert doc["config"]["out"] == splice
+    stack = evolve_reference(argv)
+    assert [row["matrix"] for row in doc["rows"]] == [io.matrix_to_pairs(m) for m in stack]
+    assert text == json.dumps(doc, indent=2) + "\n"
 
 
 def test_lapack_failure_exits_with_code_3(capsys, monkeypatch):
@@ -334,6 +394,26 @@ def test_validated_checks_only_the_fields_the_command_reads():
         RunConfig.from_dict({"command": "scan", "x": 0.45}).validated()
     with pytest.raises(DomainError, match=r"^command: "):
         RunConfig.from_dict({"command": "bogus", "x": 0.45}).validated()
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"command": "scan", "x": "0.3"}, "x"),
+    ({"command": "surface", "bogus": 1}, "bogus"),
+    ({"command": "surface", "grid": 2.5}, "grid"),
+    ({"command": "evolve", "debug_matrices": 1}, "debug_matrices"),
+    ({"command": "scan", "workers": True}, "workers"),
+    ({"command": "boundary", "pn": None}, "pn"),
+])
+def test_from_dict_rejects_an_unknown_or_wrongly_typed_field(doc, field):
+    with pytest.raises(DomainError, match=rf"^{field}: "):
+        RunConfig.from_dict(doc)
+
+
+def test_from_dict_takes_an_int_for_a_float_as_the_argv_would():
+    config = RunConfig.from_dict({"command": "boundary", "pn": 0, "x": None, "tol": 1})
+    assert config == RunConfig(**vars(build_parser().parse_args(
+        ["boundary", "--pn", "0", "--tol", "1"])))
+    assert type(config.pn) is float and type(config.tol) is float
 
 
 def test_bare_argv_takes_the_run_config_defaults():
